@@ -9,7 +9,6 @@
 //	mmtrace -alg scan -dim 256 -profile p.tsv -policy 2q # profile replay, live kernel
 //	mmtrace -alg scan -dim 128 -worstcase -reps 16      # multiplies under Fig-1 profile
 //	mmtrace -alg scan -dim 1024 -stream -worstcase      # same, streaming (no materialized trace)
-//	mmtrace -alg scan -dim 1024 -worstcase -workers 4   # sharded square-partitioned replay
 //
 // With -stream the trace is regenerated into each consumer instead of
 // being built once in memory, so sizes whose materialized trace would not
@@ -22,15 +21,6 @@
 // (clairvoyant Belady replay) for the -profile replay. Unknown names are
 // rejected with the accepted list.
 //
-// -workers bounds the engine pool the -worstcase and -profile replays
-// shard onto (square-partitioned replay, DESIGN.md): the replay splits at
-// square boundaries, each shard re-streams its slice against a profile
-// source forked at its starting box, and the merged result is identical
-// to the serial replay at any worker count. Live-kernel profile replays
-// (-policy with a registry name) are inherently serial — the kernel
-// carries residency across box boundaries, so there is no square boundary
-// to fork at; they ignore -workers.
-//
 // This is the substrate behind experiments E9 and E11.
 package main
 
@@ -41,7 +31,6 @@ import (
 	"strings"
 
 	"repro/internal/dp"
-	"repro/internal/engine"
 	"repro/internal/gep"
 	"repro/internal/matrix"
 	"repro/internal/paging"
@@ -95,10 +84,8 @@ func run() error {
 		reps      = flag.Int("reps", 16, "repetitions for -worstcase")
 		profPath  = flag.String("profile", "", "replay the trace against a TSV square profile (e.g. from profilegen)")
 		stream    = flag.Bool("stream", false, "stream the trace into each consumer instead of materializing it")
-		workers   = flag.Int("workers", 0, "worker bound for parallel square-partitioned replay (-worstcase, -profile); <1 = all cores, 1 = serial")
 	)
 	flag.Parse()
-	engine.SetSharedWorkers(*workers)
 
 	// Validate -policy up front so a typo fails before any trace is built.
 	if *policy != "" && !paging.HasPolicy(*policy) &&
@@ -217,12 +204,9 @@ func run() error {
 	if *worstcase {
 		// The matrix algorithms stream their worst-case profile (dim-4096
 		// scale profiles are never materialized); the others materialize the
-		// profile and stream it through a cycling source. Either way the
-		// source is forkable, so the replay shards across squares on the
-		// engine pool when workers allow — output is identical to the serial
-		// replay at any worker count.
+		// profile and stream it through a cycling source.
 		var (
-			boxSrc   profile.ForkableSource
+			boxSrc   profile.Source
 			nBoxes   int64
 			duration int64
 			err      error
@@ -251,12 +235,14 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		var served int64
+		replay := emit
 		if tr != nil {
-			served, err = paging.ServedRepeatParallel(tr, boxSrc, nBoxes, *reps, maxBlock+1, 0)
-		} else {
-			served, err = paging.ServedEmitRepeatParallel(emit, refs, maxBlock, boxSrc, nBoxes, *reps, maxBlock+1, 0)
+			replay = func(s trace.Sink) error {
+				trace.Replay(tr, s)
+				return nil
+			}
 		}
+		served, err := paging.ServedRepeat(replay, maxBlock, boxSrc, nBoxes, *reps)
 		if err != nil {
 			return err
 		}
@@ -288,17 +274,19 @@ func run() error {
 		var st []paging.BoxStat
 		switch {
 		case name == paging.SquareReplayName && tr != nil:
-			st, err = paging.SquareRunParallel(tr, src, 0, 0)
+			st, err = paging.SquareRun(tr, src, 0)
 		case name == paging.SquareReplayName:
-			refs, _, maxBlock, merr := measure()
+			_, _, maxBlock, merr := measure()
 			if merr != nil {
 				return merr
 			}
-			st, err = paging.SquareEmitParallel(emit, refs, maxBlock, src, 0, 0)
+			q := paging.NewSquareStream(src, 0)
+			q.Reserve(maxBlock)
+			if err := emit(q); err != nil {
+				return err
+			}
+			st, err = q.Finish()
 		case tr != nil:
-			// Live kernels and the clairvoyant replay are serial: residency
-			// carries across box boundaries, so there is no square boundary
-			// to shard at.
 			st, err = paging.PolicyRun(name, tr, src, 0)
 		case name == paging.OPTReplayName:
 			return fmt.Errorf("-policy opt needs the full trace for the next-use precomputation; drop -stream")

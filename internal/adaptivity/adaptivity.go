@@ -30,7 +30,6 @@ import (
 	"repro/internal/paging"
 	"repro/internal/profile"
 	"repro/internal/regular"
-	"repro/internal/trace"
 	"repro/internal/xrand"
 )
 
@@ -95,36 +94,13 @@ func MeasureSymbolicExec(e *regular.Exec, src profile.Source, maxBoxes int64) (R
 	return res, nil
 }
 
-// parallelTraceMinRefs is the stream length below which MeasureTrace does
-// not attempt a sharded replay: the parallel path pays a serial planning
-// pass over the whole stream, which only amortises on long streams.
-const parallelTraceMinRefs = int64(1) << 22
-
 // MeasureTrace streams the canonical synthetic trace for spec on n blocks
 // through the square-semantics cache against boxes from src. This is the
 // ground-truth backend; it is exact for every c. The trace is never
 // materialized — the generator emits straight into the square-cache sink —
 // so memory is O(n) (the residency set) rather than Θ(T(n)), and problem
 // sizes far beyond SyntheticTrace's materialization ceiling stream fine.
-//
-// Long streams from a forkable source run as a parallel
-// square-partitioned replay on the shared engine pool
-// (paging.SquareEmitParallel); the result is byte-identical to the serial
-// replay at any worker count, so callers see only the wall-time
-// difference. Short streams, non-forkable sources, and saturated pools
-// take the plain serial path.
 func MeasureTrace(spec regular.Spec, n int64, src profile.Source, maxBoxes int64) (RunResult, error) {
-	total := int64(spec.IOCost(n))
-	if _, ok := src.(profile.ForkableSource); ok && total >= parallelTraceMinRefs {
-		if shards := paging.DefaultShards(); shards > 1 {
-			emit := func(s trace.Sink) error { return regular.EmitSynthetic(spec, n, s) }
-			stats, err := paging.SquareEmitParallel(emit, total, n-1, src, maxBoxes, shards)
-			if err != nil {
-				return RunResult{}, err
-			}
-			return traceResult(spec, n, stats), nil
-		}
-	}
 	q := paging.NewSquareStream(src, maxBoxes)
 	q.Reserve(n - 1)
 	if err := regular.EmitSynthetic(spec, n, q); err != nil {
@@ -142,10 +118,8 @@ func MeasureTrace(spec regular.Spec, n int64, src profile.Source, maxBoxes int64
 // replay — a registered kernel (paging.PolicyNames) replayed live with the
 // box profile driving its capacity, "opt" for the clairvoyant box replay,
 // or "square" (or "") for the cleared-cache square semantics, which routes
-// to MeasureTrace itself. Only the square path shards: the live kernels
-// carry state across box boundaries, so a policy replay cannot be forked
-// mid-stream — it always runs serially. "opt" needs the future, so its
-// trace is materialized (regular.SyntheticTrace's ceiling applies).
+// to MeasureTrace itself. "opt" needs the future, so its trace is
+// materialized (regular.SyntheticTrace's ceiling applies).
 func MeasureTracePolicy(spec regular.Spec, n int64, policy string, src profile.Source, maxBoxes int64) (RunResult, error) {
 	switch policy {
 	case "", paging.SquareReplayName:
@@ -179,7 +153,7 @@ func MeasureTracePolicy(spec regular.Spec, n int64, policy string, src profile.S
 
 // traceResult folds a per-box ledger into a RunResult in box order — the
 // float accumulation order is part of the byte-identity contract between
-// the serial and sharded replays.
+// the streamed and materialized replays.
 func traceResult(spec regular.Spec, n int64, stats []paging.BoxStat) RunResult {
 	res := RunResult{Spec: spec, N: n, Boxes: int64(len(stats))}
 	for _, s := range stats {

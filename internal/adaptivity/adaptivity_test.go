@@ -453,3 +453,56 @@ func TestOpGap(t *testing.T) {
 		t.Errorf("a<b op gap = %g, want ~1", g)
 	}
 }
+
+// TestMeasureTraceIdenticalAcrossWorkerCounts pins the MeasureTrace
+// determinism contract on a multi-million-reference stream: the full
+// RunResult — including the float accumulations — must be identical at
+// every engine worker count.
+func TestMeasureTraceIdenticalAcrossWorkerCounts(t *testing.T) {
+	defer engine.SetSharedWorkers(0)
+	spec := regular.MMScanSpec
+	n := profile.Pow(4, 7)
+	boxes := []int64{4096, 557, 2048, 31}
+	var results []RunResult
+	for _, workers := range []int{1, 2, 8} {
+		engine.SetSharedWorkers(workers)
+		src, err := profile.NewBoxesSource(boxes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := MeasureTrace(spec, n, src, 0)
+		if err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		results = append(results, res)
+	}
+	for i := 1; i < len(results); i++ {
+		if results[i] != results[0] {
+			t.Fatalf("MeasureTrace diverges across worker counts:\nworkers=1: %+v\nother:     %+v", results[0], results[i])
+		}
+	}
+}
+
+// TestMeasureTraceShortStreamStaysSerial checks that a short stream's
+// result does not depend on how many engine workers are idle.
+func TestMeasureTraceShortStreamStaysSerial(t *testing.T) {
+	defer engine.SetSharedWorkers(0)
+	spec := regular.MMScanSpec
+	n := profile.Pow(4, 4)
+	boxes := []int64{64, 7}
+	engine.SetSharedWorkers(1)
+	src, _ := profile.NewBoxesSource(boxes)
+	want, err := MeasureTrace(spec, n, src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine.SetSharedWorkers(8)
+	src, _ = profile.NewBoxesSource(boxes)
+	got, err := MeasureTrace(spec, n, src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("short-stream result depends on workers: %+v vs %+v", got, want)
+	}
+}

@@ -129,14 +129,9 @@ func runA1(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		boxes := wc.Boxes()
 		multiplies := func(tr *trace.Trace) (float64, error) {
-			f := paging.NewSquareFinisher(boxes)
-			trace.ReplayRepeat(tr, f, 8, tr.MaxBlock()+1)
-			if err := f.Err(); err != nil {
-				return 0, err
-			}
-			return float64(int(f.Served()) / tr.Len()), nil
+			served, err := servedRepeat(tr, wc, 8)
+			return float64(int(served) / tr.Len()), err
 		}
 		canonTr, err := matrix.TraceMulScan(dim, bw)
 		if err != nil {

@@ -4,13 +4,11 @@ import (
 	"fmt"
 
 	"repro/internal/adaptivity"
-	"repro/internal/paging"
 	"repro/internal/profile"
 	"repro/internal/regular"
 	"repro/internal/smoothing"
 	"repro/internal/sorting"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/xrand"
 )
 
@@ -85,29 +83,21 @@ func runA5(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		const reps = 8
-		// Stream the fresh-address repetitions straight into the square
+		// Stream the fresh-data repetitions straight into the square
 		// finisher for each profile — the repeated trace is never built.
-		countSorts := func(boxes []int64) (int, error) {
-			f := paging.NewSquareFinisher(boxes)
-			trace.ReplayRepeat(tr, f, reps, tr.MaxBlock()+1)
-			if err := f.Err(); err != nil {
-				return 0, err
-			}
-			return int(f.Served()), nil
-		}
-		endOrdered, err := countSorts(wc.Boxes())
+		endOrdered, err := servedRepeat(tr, wc, reps)
 		if err != nil {
 			return nil, err
 		}
 		sh := smoothing.Shuffle(wc, rng)
-		endShuffled, err := countSorts(sh.Boxes())
+		endShuffled, err := servedRepeat(tr, sh, reps)
 		if err != nil {
 			return nil, err
 		}
 		t.AddRow("real merge sort (trace)", "-", n,
-			fmt.Sprintf("shuffled profile: %d sorts", endShuffled/tr.Len()),
+			fmt.Sprintf("shuffled profile: %d sorts", endShuffled/int64(tr.Len())),
 			"-",
-			fmt.Sprintf("ordered profile: %d sorts", endOrdered/tr.Len()))
+			fmt.Sprintf("ordered profile: %d sorts", endOrdered/int64(tr.Len())))
 	}
 
 	t.Note = joinNotes(notes) + " — unlike the a > b case (E3), shuffling the boxes barely moves the a = b gap: smoothing cannot rescue merge-sort-shaped algorithms, matching footnote 3's DAM-level obstruction."

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/gep"
-	"repro/internal/paging"
 	"repro/internal/trace"
 )
 
@@ -42,14 +41,9 @@ func runA4(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		boxes := wc.Boxes()
 		count := func(tr *trace.Trace) (int, error) {
-			f := paging.NewSquareFinisher(boxes)
-			trace.ReplayRepeat(tr, f, reps, tr.MaxBlock()+1)
-			if err := f.Err(); err != nil {
-				return 0, err
-			}
-			return int(f.Served()) / tr.Len(), nil
+			served, err := servedRepeat(tr, wc, reps)
+			return int(served) / tr.Len(), err
 		}
 		scanTr, err := gep.TraceFWScan(dim, bw)
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/matrix"
 	"repro/internal/paging"
+	"repro/internal/profile"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/xrand"
@@ -49,12 +50,10 @@ func runE9(cfg Config) (*Table, error) {
 		dims = append(dims, 512)
 	}
 	if cfg.MaxK >= 8 {
-		// Only reachable above the seed config: nothing on this path is
-		// materialized — traces are re-emitted per repetition and the
-		// worst-case profile is streamed — so these rungs cost MBs where a
-		// materialized repeat would have needed ~12 GB (dim 1024) to well
-		// past a TB (dim 4096). dim 4096's profile alone would be ~1.4e8
-		// boxes materialized; the odometer stream keeps it O(log dim).
+		// Only reachable above the seed config. A materialized repeat
+		// would need ~12 GB (dim 1024) to well past a TB (dim 4096), and
+		// dim 4096's profile alone ~1.4e8 boxes; the generators re-emit
+		// and the odometer stream keeps the profile O(log dim).
 		dims = append(dims, 1024)
 	}
 	if cfg.MaxK >= 9 {
@@ -63,51 +62,65 @@ func runE9(cfg Config) (*Table, error) {
 	if cfg.MaxK >= 10 {
 		dims = append(dims, 4096)
 	}
-	var lastScan, lastInp int
-	firstInp := 0
-	for i, dim := range dims {
-		boxSrc, nBoxes, duration, err := matrix.WorstCaseBoxStream(dim, bw)
+	// One engine cell per (dim, algorithm), each with its own profile
+	// stream. The largest dim's MM-InPlace replay dominates the run, so
+	// cells go largest dim first, MM-InPlace before MM-Scan, and that one
+	// starts at once while the rest fill the other workers.
+	emitters := [2]func(int, int64, trace.Sink) error{matrix.EmitMulScan, matrix.EmitMulInPlace}
+	counts := make([][2]int, len(dims))
+	g := engine.NewGroup().WithContext(cfg.Context())
+	if err := g.Map(2*len(dims), func(cell, _ int) error {
+		d, alg := len(dims)-1-cell/2, 1-cell%2
+		dim := dims[d]
+		emit := func(s trace.Sink) error { return emitters[alg](dim, bw, s) }
+		boxSrc, nBoxes, _, err := matrix.WorstCaseBoxStream(dim, bw)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		// Enough repetitions to comfortably exceed the profile's capacity for
-		// both algorithms at every size. The repetitions are streamed into
-		// the square finisher with fresh address ranges per rep (the
-		// RepeatTraceFresh semantics), never materialized; with idle engine
-		// workers the replay runs as square-partitioned shards, with output
-		// identical to the serial replay by construction.
+		c := &trace.CountingSink{}
+		if err := emit(c); err != nil {
+			return err
+		}
+		// Enough fresh-data repetitions to comfortably exceed the
+		// profile's capacity for both algorithms at every size.
 		reps := 12
 		if dim >= 1024 {
 			reps = 16
 		}
-		count := func(emit func(trace.Sink) error) (int, error) {
-			c := &trace.CountingSink{}
-			if err := emit(c); err != nil {
-				return 0, err
-			}
-			served, err := paging.ServedEmitRepeatParallel(emit, c.Refs, c.MaxBlock,
-				boxSrc, nBoxes, reps, c.MaxBlock+1, paging.DefaultShards())
-			if err != nil {
-				return 0, err
-			}
-			return int(served / c.Refs), nil
-		}
-		scanCount, err := count(func(s trace.Sink) error { return matrix.EmitMulScan(dim, bw, s) })
+		served, err := paging.ServedRepeat(emit, c.MaxBlock, boxSrc, nBoxes, reps)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		inpCount, err := count(func(s trace.Sink) error { return matrix.EmitMulInPlace(dim, bw, s) })
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(dim, dim*dim, nBoxes, duration, scanCount, inpCount)
-		lastScan, lastInp = scanCount, inpCount
-		if i == 0 {
-			firstInp = inpCount
-		}
+		counts[d][alg] = int(served / c.Refs)
+		return nil
+	}); err != nil {
+		return nil, err
 	}
-	t.Note = fmt.Sprintf("MM-Scan stays at %d multiply per profile; MM-InPlace grows from %d to %d — one extra multiply per doubling of dim, the Ω(log(N/B)) shape.", lastScan, firstInp, lastInp)
+	for d, dim := range dims {
+		_, nBoxes, duration, err := matrix.WorstCaseBoxStream(dim, bw)
+		if err != nil {
+			return nil, err
+		}
+		t.AddRow(dim, dim*dim, nBoxes, duration, counts[d][0], counts[d][1])
+	}
+	last := counts[len(counts)-1]
+	t.Note = fmt.Sprintf("MM-Scan stays at %d multiply per profile; MM-InPlace grows from %d to %d — one extra multiply per doubling of dim, the Ω(log(N/B)) shape.", last[0], counts[0][1], last[1])
+	finishMetrics(t, g)
 	return t, nil
+}
+
+// servedRepeat counts the references reps fresh-data repetitions of tr
+// serve within the boxes of p, under finisher semantics.
+func servedRepeat(tr *trace.Trace, p *profile.SquareProfile, reps int) (int64, error) {
+	src, err := profile.NewSliceSource(p)
+	if err != nil {
+		return 0, err
+	}
+	replay := func(s trace.Sink) error {
+		trace.Replay(tr, s)
+		return nil
+	}
+	return paging.ServedRepeat(replay, tr.MaxBlock(), src, int64(p.Len()), reps)
 }
 
 func runE10(cfg Config) (*Table, error) {

@@ -54,14 +54,10 @@ func New(workers int) *Pool {
 // Workers returns the pool's concurrency bound (including the caller).
 func (p *Pool) Workers() int { return p.workers }
 
-// Idle returns the number of worker tokens currently free, i.e. how many
-// helpers a Map started now could recruit. The value is advisory — tokens
-// move concurrently — but it is exactly the signal an optional
-// parallelization (parallel square replay inside an experiment cell) needs:
-// zero idle tokens means a sharded run would degrade to serial execution
-// while still paying its planning pass, so the caller should take the plain
-// serial path instead. Output never depends on the answer, only wall time.
-func (p *Pool) Idle() int { return len(p.tokens) }
+// idle returns the number of worker tokens currently free, i.e. how many
+// helpers a Map started now could recruit. The value is advisory: tokens
+// move concurrently.
+func (p *Pool) idle() int { return len(p.tokens) }
 
 // TryToken is the pool's priority hook for background work: it claims one
 // worker token without blocking, but only while more than `reserve` tokens
@@ -75,7 +71,7 @@ func (p *Pool) Idle() int { return len(p.tokens) }
 // with a no-op release rather than starving background work forever. And
 // Map never *requires* tokens (it degrades to the caller's goroutine), so a
 // token held across a long batch cell can delay recruitment but can never
-// wedge a Map. The free-count check is advisory, like Idle: a racing Map
+// wedge a Map. The free-count check is advisory, like idle: a racing Map
 // may take the token first, in which case the select falls through to
 // failure instead of blocking.
 //

@@ -413,14 +413,14 @@ func TestMapNilContextNeverCancels(t *testing.T) {
 
 func TestIdleReportsFreeTokens(t *testing.T) {
 	p := New(4)
-	if got := p.Idle(); got != 3 {
-		t.Fatalf("fresh 4-worker pool Idle() = %d, want 3 (workers minus the caller)", got)
+	if got := p.idle(); got != 3 {
+		t.Fatalf("fresh 4-worker pool idle() = %d, want 3 (workers minus the caller)", got)
 	}
-	if got := New(1).Idle(); got != 0 {
-		t.Fatalf("single-worker pool Idle() = %d, want 0", got)
+	if got := New(1).idle(); got != 0 {
+		t.Fatalf("single-worker pool idle() = %d, want 0", got)
 	}
 	// Hold every token in long-running cells: a Map started now could
-	// recruit no helpers, and Idle must say so.
+	// recruit no helpers, and idle must say so.
 	release := make(chan struct{})
 	started := make(chan struct{}, 4)
 	done := make(chan error, 1)
@@ -434,14 +434,14 @@ func TestIdleReportsFreeTokens(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		<-started
 	}
-	if got := p.Idle(); got != 0 {
-		t.Fatalf("saturated pool Idle() = %d, want 0", got)
+	if got := p.idle(); got != 0 {
+		t.Fatalf("saturated pool idle() = %d, want 0", got)
 	}
 	close(release)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Idle(); got != 3 {
-		t.Fatalf("drained pool Idle() = %d, want 3", got)
+	if got := p.idle(); got != 3 {
+		t.Fatalf("drained pool idle() = %d, want 3", got)
 	}
 }

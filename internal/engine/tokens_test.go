@@ -39,7 +39,7 @@ func TestTryTokenReserveClamped(t *testing.T) {
 		t.Fatal("TryToken(100) failed on an idle 2-worker pool: reserve not clamped")
 	}
 	release2()
-	if got := p.Idle(); got != 1 {
+	if got := p.idle(); got != 1 {
 		t.Fatalf("after releases: %d idle tokens, want 1", got)
 	}
 }
@@ -67,7 +67,7 @@ func TestTryTokenReserve(t *testing.T) {
 	}
 	r2()
 	r1()
-	if got := p.Idle(); got != 2 {
+	if got := p.idle(); got != 2 {
 		t.Fatalf("after releases: %d idle tokens, want 2", got)
 	}
 }
@@ -82,7 +82,7 @@ func TestTryTokenReleaseIdempotent(t *testing.T) {
 	release()
 	release()
 	release()
-	if got := p.Idle(); got != 1 {
+	if got := p.idle(); got != 1 {
 		t.Fatalf("idempotent release violated: %d idle tokens, want 1", got)
 	}
 	// The bucket is whole again: exactly one acquisition fits.

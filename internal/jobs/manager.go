@@ -603,13 +603,14 @@ func (m *Manager) Cancel(id string) (*Status, bool) {
 	}
 	st := j.statusLocked(false)
 	j.mu.Unlock()
-	if settle {
-		close(j.done)
-	}
 	j.cancel()
 	m.jobsActive.Add(-1)
 	m.jobsCancelled.Add(1)
 	m.appendTerminal(id, JobCancelled)
+	// Waiters wake only once the ledger counts the job as settled.
+	if settle {
+		close(j.done)
+	}
 	m.kick()
 	return st, true
 }
@@ -882,9 +883,6 @@ func (m *Manager) runCell(j *Job, ci int, spec Cell, release func()) {
 		j.settled = true
 	}
 	j.mu.Unlock()
-	if settle {
-		close(j.done)
-	}
 	if terminal != "" {
 		m.jobsActive.Add(-1)
 		if terminal == JobPartial {
@@ -893,6 +891,10 @@ func (m *Manager) runCell(j *Job, ci int, spec Cell, release func()) {
 			m.jobsCompleted.Add(1)
 		}
 		m.appendTerminal(j.id, terminal)
+	}
+	// Waiters wake only once the ledger counts the job as settled.
+	if settle {
+		close(j.done)
 	}
 }
 

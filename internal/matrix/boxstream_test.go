@@ -32,25 +32,6 @@ func TestWorstCaseBoxStreamMatchesProfile(t *testing.T) {
 	}
 }
 
-func TestWorstCaseBoxStreamForkAt(t *testing.T) {
-	wc, err := WorstCaseProfile(64, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, _, _, err := WorstCaseBoxStream(64, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, box := range []int64{0, 1, 9, 10, 70, int64(wc.Len()) - 1} {
-		fork := src.ForkAt(box)
-		for i := box; i < int64(wc.Len()); i++ {
-			if got, want := fork.Next(), wc.Box(int(i)); got != want {
-				t.Fatalf("ForkAt(%d): box %d = %d, want %d", box, i, got, want)
-			}
-		}
-	}
-}
-
 func TestWorstCaseBoxStreamValidates(t *testing.T) {
 	if _, _, _, err := WorstCaseBoxStream(7, 8); err == nil {
 		t.Fatal("non-power-of-two dim accepted")

@@ -262,15 +262,15 @@ func WorstCaseProfile(dim int, blockWords int64) (*profile.SquareProfile, error)
 }
 
 // WorstCaseBoxStream is the streaming form of WorstCaseProfile: it returns
-// a forkable box source whose first `count` boxes are exactly
+// a box source whose first `count` boxes are exactly
 // WorstCaseProfile(dim, blockWords).Boxes(), plus that count and the
 // profile's total duration (Σ box sizes), both computed in closed form. The
 // profile is never materialised — the recursive structure is an 8-ary
 // odometer (a leaf box per base case, one level-j merge-scan box after
 // every 8^j-th leaf) — so dim-4096-class profiles, whose materialised box
-// slice alone would cost gigabytes, stream in O(log dim) memory and can be
-// forked at any box for square-partitioned parallel replay.
-func WorstCaseBoxStream(dim int, blockWords int64) (src profile.ForkableSource, count, duration int64, err error) {
+// slice alone would cost gigabytes, stream in O(log dim) memory. Each
+// call returns a fresh source positioned at the first box.
+func WorstCaseBoxStream(dim int, blockWords int64) (src profile.Source, count, duration int64, err error) {
 	if err := validateTraceArgs(dim, blockWords); err != nil {
 		return nil, 0, 0, err
 	}

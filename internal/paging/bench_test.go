@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/matrix"
 	"repro/internal/profile"
 	"repro/internal/regular"
 	"repro/internal/trace"
@@ -221,4 +222,31 @@ func BenchmarkSquareStreamReplay(b *testing.B) {
 			b.Fatal(err)
 		}
 	})
+}
+
+// BenchmarkServedRepeat is E9's repeated replay at dim 256: MM-Scan
+// re-emitted on fresh data 12 times into the finisher over its streamed
+// worst-case profile. It reports references served per second.
+//
+//	go test ./internal/paging -run=NONE -bench=ServedRepeat
+func BenchmarkServedRepeat(b *testing.B) {
+	const dim, bw, reps = 256, 8, 12
+	emit := func(s trace.Sink) error { return matrix.EmitMulScan(dim, bw, s) }
+	c := &trace.CountingSink{}
+	if err := emit(c); err != nil {
+		b.Fatal(err)
+	}
+	var served int64
+	for i := 0; i < b.N; i++ {
+		src, nBoxes, _, err := matrix.WorstCaseBoxStream(dim, bw)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n, err := ServedRepeat(emit, c.MaxBlock, src, nBoxes, reps)
+		if err != nil {
+			b.Fatal(err)
+		}
+		served += n
+	}
+	b.ReportMetric(float64(served)/b.Elapsed().Seconds(), "refs/s")
 }

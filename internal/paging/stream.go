@@ -156,13 +156,17 @@ func (q *SquareStream) ensure(block int64) {
 // SquareFinisher consumes a reference stream against a finite square
 // sequence and reports how many references the boxes served — the
 // streaming form of SquareRunFrom, and the primitive behind the
-// No-Catch-up Lemma check. Once the boxes are exhausted (or a box size is
-// invalid) the remaining stream is ignored.
+// No-Catch-up Lemma check and the repeated-multiply counts (ServedRepeat).
+// Boxes are pulled lazily from a profile source, at most a fixed number of
+// them, so a worst-case profile of any size is never materialised. Once
+// the boxes are exhausted (or a box size is invalid) the remaining stream
+// is ignored.
 type SquareFinisher struct {
-	boxes    []int64
-	bi       int
+	src      profile.Source
+	left     int64   // boxes remaining, including the current one
 	resident []int64 // epoch-stamped, cleared per box via epoch bump
 	epoch    int64
+	size     int64 // current box size
 	ios      int64
 	served   int64
 	done     bool
@@ -171,13 +175,28 @@ type SquareFinisher struct {
 
 // NewSquareFinisher returns a finisher over the given box sizes. The first
 // box is validated eagerly so an invalid leading box is reported even for
-// an empty stream, matching SquareRunFrom.
+// an empty stream, matching SquareRunFrom; later boxes are validated when
+// the stream reaches them.
 func NewSquareFinisher(boxes []int64) *SquareFinisher {
-	f := &SquareFinisher{boxes: boxes}
 	if len(boxes) == 0 {
+		return newSquareFinisher(nil, 0)
+	}
+	src, _ := profile.NewBoxesSource(boxes) // cannot fail: boxes is non-empty
+	return newSquareFinisher(src, int64(len(boxes)))
+}
+
+// newSquareFinisher serves at most nBoxes boxes pulled from src, validating
+// the first one eagerly.
+func newSquareFinisher(src profile.Source, nBoxes int64) *SquareFinisher {
+	// Epochs start at 1 so zero-filled residency means "not resident".
+	f := &SquareFinisher{src: src, left: nBoxes, epoch: 1}
+	if nBoxes <= 0 {
 		f.done = true
-	} else if boxes[0] < 1 {
-		f.err = fmt.Errorf("paging: box size %d invalid", boxes[0])
+		return f
+	}
+	f.size = src.Next()
+	if f.size < 1 {
+		f.err = fmt.Errorf("paging: box size %d invalid", f.size)
 	}
 	return f
 }
@@ -198,16 +217,17 @@ func (f *SquareFinisher) Access(block int64) {
 		f.served++
 		return
 	}
-	if f.ios == f.boxes[f.bi] {
+	if f.ios == f.size {
 		// Budget exhausted: this reference belongs to the next box.
-		f.bi++
-		if f.bi >= len(f.boxes) {
+		f.left--
+		if f.left <= 0 {
 			f.done = true
 			return
 		}
-		if f.boxes[f.bi] < 1 {
+		f.size = f.src.Next()
+		if f.size < 1 {
 			//lint:ignore hotpath error path: an invalid box ends the run, one allocation to say why is fine
-			f.err = fmt.Errorf("paging: box size %d invalid", f.boxes[f.bi])
+			f.err = fmt.Errorf("paging: box size %d invalid", f.size)
 			return
 		}
 		// Fresh square: cache cleared.
@@ -221,7 +241,7 @@ func (f *SquareFinisher) Access(block int64) {
 
 // AccessRange serves blocks [lo, lo+count) in order.
 func (f *SquareFinisher) AccessRange(lo, count int64) {
-	for i := int64(0); i < count; i++ {
+	for i := int64(0); i < count && !f.done && f.err == nil; i++ {
 		f.Access(lo + i)
 	}
 }
@@ -257,11 +277,54 @@ func (f *SquareFinisher) ensure(block int64) {
 	//lint:ignore hotpath geometric residency growth amortises to O(1) per access and Reserve pre-sizes it away in steady state
 	grown := make([]int64, n)
 	copy(grown, f.resident)
-	for i := len(f.resident); i < len(grown); i++ {
-		grown[i] = -1
-	}
 	f.resident = grown
 }
+
+// ServedRepeat counts the references served when reps back-to-back
+// repetitions of a workload, each on fresh data, are replayed against the
+// first nBoxes boxes of src under finisher semantics. emit replays the
+// base workload (block IDs in [0, maxBlock]) and must produce the same
+// sequence on every call; the repeated stream is never materialised.
+//
+// The result equals replaying the repetitions at block shift r·stride for
+// any stride > maxBlock (trace.ReplayRepeat into a SquareFinisher), but
+// instead of relocating addresses the finisher bumps its residency epoch
+// between repetitions, without closing the current box. That is exact: a
+// shifted repetition touches only blocks no earlier repetition touched, so
+// none of them can be resident, which is precisely what a fresh epoch
+// says. Residency stays O(maxBlock) whatever reps is.
+func ServedRepeat(emit func(trace.Sink) error, maxBlock int64, src profile.Source, nBoxes int64, reps int) (int64, error) {
+	f := newSquareFinisher(src, nBoxes)
+	f.Reserve(maxBlock)
+	for r := 0; r < reps && !f.Stopped(); r++ {
+		if r > 0 {
+			f.epoch++ // fresh data: nothing from earlier repetitions is resident
+		}
+		if err := emit(f); err != nil {
+			return 0, err
+		}
+	}
+	return f.Served(), f.Err()
+}
+
+// ServedEmitRepeatParallel is ServedRepeat under its former signature:
+// refsPerRep and shards are ignored, and stride must exceed maxBlock (the
+// fresh-address repetitions ServedRepeat counts).
+//
+// Deprecated: use ServedRepeat. The replay is serial; the sharded path
+// this once selected has been removed.
+func ServedEmitRepeatParallel(emit func(trace.Sink) error, refsPerRep, maxBlock int64, src profile.Source, nBoxes int64, reps int, stride int64, shards int) (int64, error) {
+	if stride <= maxBlock {
+		return 0, fmt.Errorf("paging: stride %d overlaps the base workload's blocks [0, %d]; only fresh-address repetitions are supported", stride, maxBlock)
+	}
+	return ServedRepeat(emit, maxBlock, src, nBoxes, reps)
+}
+
+// DefaultShards returns 1.
+//
+// Deprecated: replay is no longer sharded, so there is no shard count to
+// pick.
+func DefaultShards() int { return 1 }
 
 var (
 	_ trace.Sink    = (*SquareStream)(nil)

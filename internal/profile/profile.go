@@ -169,25 +169,6 @@ type Source interface {
 	Next() int64
 }
 
-// ForkableSource is a Source whose box sequence is re-derivable from any
-// offset: ForkAt(box) returns an independent Source positioned as if Next
-// had already been called box times on a fresh instance. Forks never share
-// mutable state with the receiver or each other, so they may be consumed
-// concurrently. This is the contract that makes square-partitioned replay
-// parallelizable — each shard forks the profile source at its starting box
-// instead of threading one cursor through every shard in order.
-//
-// ForkAt positions relative to the source's initial state, not its current
-// cursor; stateless deterministic sequences (a cycled profile, the
-// worst-case limit stream) satisfy that naturally, while genuinely
-// stateful sources (FuncSource closures over an RNG) cannot and simply do
-// not implement the interface, which routes them to the serial path.
-type ForkableSource interface {
-	Source
-	// ForkAt returns an independent Source positioned after `box` boxes.
-	ForkAt(box int64) Source
-}
-
 // SliceSource cycles through a fixed profile forever. Cycling (rather than
 // terminating) matches the "infinite square-profile" framing: the common use
 // is a profile known to be long enough for the run, with the cycle as a
@@ -220,16 +201,6 @@ func (s *SliceSource) Next() int64 {
 
 // Emitted reports how many boxes have been emitted so far (across cycles).
 func (s *SliceSource) Emitted() int { return s.emitted }
-
-// ForkAt returns an independent source positioned after box boxes of the
-// cycled sequence. The box slice is shared (it is never mutated), so forks
-// are cheap and safe to consume concurrently.
-func (s *SliceSource) ForkAt(box int64) Source {
-	if box < 0 {
-		box = 0
-	}
-	return &SliceSource{boxes: s.boxes, pos: int(box % int64(len(s.boxes))), emitted: int(box)}
-}
 
 // FuncSource adapts a function to the Source interface.
 type FuncSource func() int64
@@ -267,8 +238,7 @@ func (s *BoxesSource) Next() int64 {
 }
 
 // Rebind points the source at a new slice and rewinds it, so one
-// BoxesSource can serve every trial a worker runs. Rebinding invalidates
-// outstanding ForkAt forks (they keep cycling the old slice).
+// BoxesSource can serve every trial a worker runs.
 func (s *BoxesSource) Rebind(boxes []int64) error {
 	if len(boxes) == 0 {
 		return fmt.Errorf("profile: cannot stream an empty box slice")
@@ -277,18 +247,3 @@ func (s *BoxesSource) Rebind(boxes []int64) error {
 	s.pos = 0
 	return nil
 }
-
-// ForkAt returns an independent source positioned after box boxes of the
-// cycled sequence. The slice is shared with the receiver; the usual
-// BoxesSource no-mutation contract extends to every fork.
-func (s *BoxesSource) ForkAt(box int64) Source {
-	if box < 0 {
-		box = 0
-	}
-	return &BoxesSource{boxes: s.boxes, pos: int(box % int64(len(s.boxes)))}
-}
-
-var (
-	_ ForkableSource = (*SliceSource)(nil)
-	_ ForkableSource = (*BoxesSource)(nil)
-)

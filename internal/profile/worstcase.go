@@ -181,59 +181,3 @@ func (w *WorstCaseSource) Next() int64 {
 	}
 	return 1
 }
-
-// emittedThrough returns how many boxes the stream emits through the end of
-// leaf t's group: t leaf boxes plus one size-b^j closer after every a^j-th
-// leaf, i.e. t + Σ_{j>=1} ⌊t/a^j⌋.
-func (w *WorstCaseSource) emittedThrough(t int64) int64 {
-	total := t
-	for p := w.a; p <= t; p *= w.a {
-		total += t / p
-		if p > t/w.a {
-			break // next p would overflow past t anyway
-		}
-	}
-	return total
-}
-
-// ForkAt returns an independent source positioned after box boxes of the
-// limit profile, reconstructing the odometer state in O(log^2 box) from the
-// digit structure: the largest leaf t with emittedThrough(t) <= box locates
-// the group the cursor is in, and the remainder picks how many of that
-// group's closing boxes are still pending.
-func (w *WorstCaseSource) ForkAt(box int64) Source {
-	if box < 0 {
-		box = 0
-	}
-	// Binary search the largest t with emittedThrough(t) <= box; each group
-	// emits at least one box, so t <= box bounds the search.
-	lo, hi := int64(0), box
-	for lo < hi {
-		mid := lo + (hi-lo+1)/2
-		if w.emittedThrough(mid) <= box {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	f := &WorstCaseSource{a: w.a, b: w.b, leaf: lo}
-	if r := box - w.emittedThrough(lo); r > 0 {
-		// r boxes into leaf lo+1's group: the leaf box and r-1 of its
-		// closers are consumed; closers b^r..b^v remain pending.
-		f.leaf = lo + 1
-		t := f.leaf
-		size := w.b
-		j := int64(1)
-		for t%w.a == 0 {
-			if j >= r {
-				f.pending = append(f.pending, size)
-			}
-			t /= w.a
-			size *= w.b
-			j++
-		}
-	}
-	return f
-}
-
-var _ ForkableSource = (*WorstCaseSource)(nil)

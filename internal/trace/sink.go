@@ -28,40 +28,6 @@ type Sink interface {
 // Builder is the materializing Sink.
 var _ Sink = (*Builder)(nil)
 
-// OffsetSink forwards every access to S with block IDs shifted by Shift.
-// It is how streaming consumers relocate repetitions of a workload to
-// fresh address ranges (the RepeatTraceFresh semantics) without
-// materializing the repeated trace.
-type OffsetSink struct {
-	S     Sink
-	Shift int64
-}
-
-// Access forwards block+Shift to the underlying sink.
-//
-//lint:hotpath
-func (o OffsetSink) Access(block int64) { o.S.Access(block + o.Shift) }
-
-// AccessRange forwards the shifted range to the underlying sink.
-//
-//lint:hotpath
-func (o OffsetSink) AccessRange(lo, count int64) { o.S.AccessRange(lo+o.Shift, count) }
-
-// EndLeaf forwards the leaf marker unchanged.
-//
-//lint:hotpath
-func (o OffsetSink) EndLeaf() { o.S.EndLeaf() }
-
-// Stopped delegates to the wrapped sink's Stopper surface (false when the
-// wrapped sink has none), so generators handed a shifted sink still see the
-// underlying consumer's early-stop signal.
-func (o OffsetSink) Stopped() bool {
-	if st, ok := o.S.(Stopper); ok {
-		return st.Stopped()
-	}
-	return false
-}
-
 // CountingSink tallies the stream without storing it: reference and leaf
 // counts plus the largest block seen. A full-size workload can be
 // measured in O(1) memory (mmtrace -stream -stats uses it).
@@ -113,28 +79,13 @@ func (c *CountingSink) EndLeaf() {
 
 // Stopper is the optional early-stop half of a Sink. A sink that has
 // consumed all the stream it will ever serve (a finite square sequence that
-// ran out of boxes, a windowed shard that passed its upper bound, a stream
-// that hit an error) reports Stopped() == true, and the replay loops below
+// ran out of boxes, a stream that hit an error) reports Stopped() == true, and the replay loops below
 // halt instead of pushing the rest of the stream into a sink that ignores
 // it. Generators may honor it too (regular.EmitSynthetic does); a sink
 // without the method is simply replayed to the end, exactly as before.
 type Stopper interface {
 	// Stopped reports that every further emission would be ignored.
 	Stopped() bool
-}
-
-// stopperOf extracts the optional Stopper surface of s, unwrapping the
-// OffsetSink adapter so that shifted replays (ReplayRepeat) still stop when
-// the underlying consumer is done.
-func stopperOf(s Sink) Stopper {
-	for {
-		if o, ok := s.(OffsetSink); ok {
-			s = o.S
-			continue
-		}
-		st, _ := s.(Stopper)
-		return st
-	}
 }
 
 // Replay emits a materialized trace into s, reproducing the exact access
@@ -151,15 +102,15 @@ func Replay(tr *Trace, s Sink) {
 // inside the range are preserved. It panics on an out-of-range window (a
 // caller bug, matching the slice convention). If s implements Stopper, the
 // replay halts at the first index where Stopped reports true, so a sink
-// that is done consuming (SquareFinisher with exhausted boxes, a windowed
-// shard) costs O(served) rather than O(trace).
+// that is done consuming (SquareFinisher with exhausted boxes) costs
+// O(served) rather than O(trace).
 //
 //lint:hotpath
 func ReplayRange(tr *Trace, s Sink, lo, hi int) {
 	if lo < 0 || hi < lo || hi > tr.Len() {
 		panic("trace: ReplayRange window out of range")
 	}
-	if st := stopperOf(s); st != nil {
+	if st, ok := s.(Stopper); ok {
 		for i := lo; i < hi; i++ {
 			if st.Stopped() {
 				return
@@ -188,7 +139,7 @@ func ReplayRange(tr *Trace, s Sink, lo, hi int) {
 //
 //lint:hotpath
 func ReplayRepeat(tr *Trace, s Sink, reps int, stride int64) {
-	st := stopperOf(s)
+	st, _ := s.(Stopper)
 	for r := 0; r < reps; r++ {
 		if st != nil && st.Stopped() {
 			return
@@ -202,12 +153,10 @@ func ReplayRepeat(tr *Trace, s Sink, reps int, stride int64) {
 	}
 }
 
-// replayShifted emits one full pass of tr into s with every block shifted —
-// the inlined form of replaying through an OffsetSink{S: s, Shift: shift}. The
-// adapter version boxed a fresh OffsetSink into the Sink interface once per
-// repetition, one heap allocation per rep on the replay hot path; shifting
-// in the loop keeps the repetition allocation-free. st is the caller's
-// already-unwrapped Stopper (nil when s has none).
+// replayShifted emits one full pass of tr into s with every block shifted.
+// Shifting in the loop, rather than wrapping s in a shifting adapter boxed
+// into the Sink interface once per repetition, keeps the repetition
+// allocation-free. st is s's Stopper (nil when s has none).
 func replayShifted(tr *Trace, s Sink, st Stopper, shift int64) {
 	if st != nil {
 		for i := range tr.blocks {
@@ -228,100 +177,3 @@ func replayShifted(tr *Trace, s Sink, st Stopper, shift int64) {
 		}
 	}
 }
-
-// WindowSink forwards the subsequence [Lo, Hi) of a stream — counted in
-// global reference indices — to S, discarding everything outside it. It is
-// how a parallel replay shard re-streams only its slice of a generator:
-// references before Lo are skipped (a whole AccessRange outside the window
-// costs O(1)), references from Hi on report Stopped so stopper-aware
-// replays and generators cut the tail off entirely. Leaf markers are
-// forwarded only when the access they mark lies inside the window, which
-// preserves per-box leaf attribution across shard boundaries.
-//
-// Hi < 0 means an unbounded window: the sink forwards everything from Lo
-// on and stops only when S itself stops.
-type WindowSink struct {
-	S      Sink
-	Lo, Hi int64
-	n      int64 // references seen so far (global index of the next one)
-}
-
-// NewWindowSink returns a window over [lo, hi); hi < 0 is unbounded.
-func NewWindowSink(s Sink, lo, hi int64) *WindowSink {
-	return &WindowSink{S: s, Lo: lo, Hi: hi}
-}
-
-// Seen returns how many stream references have been consumed (forwarded or
-// skipped) so far.
-func (w *WindowSink) Seen() int64 { return w.n }
-
-// Access forwards the reference when its global index is inside [Lo, Hi).
-//
-//lint:hotpath
-func (w *WindowSink) Access(block int64) {
-	i := w.n
-	w.n++
-	if i < w.Lo || (w.Hi >= 0 && i >= w.Hi) {
-		return
-	}
-	w.S.Access(block)
-}
-
-// AccessRange forwards the overlap of the range with the window; a range
-// entirely outside it is skipped in O(1).
-//
-//lint:hotpath
-func (w *WindowSink) AccessRange(lo, count int64) {
-	if count <= 0 {
-		return
-	}
-	first := w.n
-	w.n += count
-	// Clip [first, first+count) to [Lo, Hi).
-	skip := int64(0)
-	if first < w.Lo {
-		skip = w.Lo - first
-	}
-	if skip >= count {
-		return
-	}
-	keep := count - skip
-	if w.Hi >= 0 {
-		if first+skip >= w.Hi {
-			return
-		}
-		if first+skip+keep > w.Hi {
-			keep = w.Hi - (first + skip)
-		}
-	}
-	w.S.AccessRange(lo+skip, keep)
-}
-
-// EndLeaf forwards the marker when the most recent access was forwarded.
-//
-//lint:hotpath
-func (w *WindowSink) EndLeaf() {
-	i := w.n - 1
-	if w.n == 0 || i < w.Lo || (w.Hi >= 0 && i >= w.Hi) {
-		return
-	}
-	w.S.EndLeaf()
-}
-
-// Stopped reports true once the window's upper bound has been passed (or
-// the inner sink itself stopped), so the producing replay or generator can
-// stop emitting the tail.
-func (w *WindowSink) Stopped() bool {
-	if w.Hi >= 0 && w.n >= w.Hi {
-		return true
-	}
-	if st, ok := w.S.(Stopper); ok {
-		return st.Stopped()
-	}
-	return false
-}
-
-var (
-	_ Sink    = (*WindowSink)(nil)
-	_ Stopper = (*WindowSink)(nil)
-)

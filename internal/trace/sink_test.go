@@ -58,24 +58,6 @@ func TestCountingSinkEndLeafPanicsEmpty(t *testing.T) {
 	(&CountingSink{}).EndLeaf()
 }
 
-func TestOffsetSink(t *testing.T) {
-	b := &Builder{}
-	o := OffsetSink{S: b, Shift: 1000}
-	o.Access(3)
-	o.EndLeaf()
-	o.AccessRange(10, 2)
-	tr := b.Build()
-	want := []int64{1003, 1010, 1011}
-	for i, w := range want {
-		if tr.Block(i) != w {
-			t.Errorf("Block(%d) = %d, want %d", i, tr.Block(i), w)
-		}
-	}
-	if !tr.EndsLeaf(0) || tr.Leaves() != 1 {
-		t.Error("leaf marker not forwarded")
-	}
-}
-
 func TestReplayRange(t *testing.T) {
 	b := &Builder{}
 	for i := int64(0); i < 10; i++ {

@@ -75,14 +75,14 @@ go test -race -short \
     -run 'TestARC|Test2Q|TestTwoQ|TestPolicy|TestOPTRunBoxes|TestMeasureTracePolicy' \
     -count=1
 
-echo "== go test -race (parallel square replay) =="
-# The sharded replay paths: plan/execute determinism at explicit shard and
-# worker counts, the ledger-merge equivalence, and the finisher early-stop
-# regressions, all race-checked since shards share the engine pool.
+echo "== go test -race (square replay) =="
+# The square-semantics replays: the fresh-data repeated replay against its
+# address-shifted reference, the finisher's validation and early-stop
+# regressions, and the trace-backed measurement across worker counts.
 go test -race -short \
     ./internal/paging/ \
     ./internal/adaptivity/ \
-    -run 'TestSquareRunParallel|TestSquareEmitParallel|TestServedRepeat|TestServedEmitRepeat|TestSrcFinisher|TestReplayRangeHalts|TestReplayRepeatHalts|TestDefaultShards|TestMeasureTrace'
+    -run 'TestServedRepeat|TestSquareFinisher|TestReplayRangeHalts|TestReplayRepeatHalts|TestMeasureTrace'
 
 echo "== chaos smoke =="
 # The deterministic fault storm: concurrent clients against a real server
@@ -128,7 +128,7 @@ go test -run '^$' -fuzz '^FuzzParseIgnoreDirective$' -fuzztime 5s ./internal/lin
 go test -run '^$' -fuzz '^FuzzParseAnnotation$' -fuzztime 5s ./internal/lint/
 go test -run '^$' -fuzz '^FuzzKernelsMatchOracles$' -fuzztime 5s ./internal/paging/
 go test -run '^$' -fuzz '^FuzzAdaptivePoliciesMatchOracles$' -fuzztime 5s ./internal/paging/
-go test -run '^$' -fuzz '^FuzzParallelMatchesSerial$' -fuzztime 5s ./internal/paging/
+go test -run '^$' -fuzz '^FuzzServedRepeatMatchesShiftedReplay$' -fuzztime 5s ./internal/paging/
 go test -run '^$' -fuzz '^FuzzShardRouting$' -fuzztime 5s ./internal/service/
 go test -run '^$' -fuzz '^FuzzJournalReplay$' -fuzztime 5s ./internal/jobs/
 
