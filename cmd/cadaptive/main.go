@@ -10,6 +10,7 @@
 //	cadaptive -server http://127.0.0.1:8344 -exp E3
 //	cadaptive -server http://127.0.0.1:8344 -batch -exp E1 -seeds 8 -maxk-min 4 -maxk 7
 //	cadaptive -server http://127.0.0.1:8344 -job j1
+//	cadaptive -exp all -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // With -server the experiments execute on a cadaptived instance instead of
 // in-process: requests go through the retrying service client (capped
@@ -27,6 +28,10 @@
 // Every run is deterministic in (-seed, -trials, -maxk) — and only those:
 // table contents are byte-identical for any -workers value. EXPERIMENTS.md
 // was generated with the defaults.
+//
+// -cpuprofile and -memprofile write runtime/pprof profiles of the run (the
+// heap profile after it finishes) for `go tool pprof`; they leave the
+// printed output unchanged.
 package main
 
 import (
@@ -37,6 +42,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"time"
 
 	"repro/internal/core"
@@ -64,7 +71,7 @@ var flagForField = map[string]string{
 // a fixed timestamp — internal/core never reads the wall clock itself
 // (enforced by cadaptivelint's notime check), so the injected now is the
 // only source of GeneratedAt and wall times.
-func run(args []string, stdout io.Writer, now func() time.Time) error {
+func run(args []string, stdout io.Writer, now func() time.Time) (retErr error) {
 	def := core.DefaultConfig()
 	fs := flag.NewFlagSet("cadaptive", flag.ContinueOnError)
 	var (
@@ -81,6 +88,8 @@ func run(args []string, stdout io.Writer, now func() time.Time) error {
 		seeds   = fs.Int("seeds", 1, "batch mode: number of consecutive seeds starting at -seed")
 		maxkMin = fs.Int("maxk-min", 0, "batch mode: sweep maxk from this up to -maxk (0 = just -maxk)")
 		jobID   = fs.String("job", "", "attach to an existing batch job on -server (resume waiting after a restart)")
+		cpuProf = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf = fs.String("memprofile", "", "write a heap profile to this file after the run")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -120,6 +129,16 @@ func run(args []string, stdout io.Writer, now func() time.Time) error {
 		return err
 	}
 
+	stopProfiles, err := startProfiles(*cpuProf, *memProf)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err := stopProfiles(); retErr == nil {
+			retErr = err
+		}
+	}()
+
 	if *batch || *jobID != "" {
 		if *server == "" {
 			return errors.New("-batch and -job need -server: jobs live on a cadaptived instance")
@@ -144,7 +163,6 @@ func run(args []string, stdout io.Writer, now func() time.Time) error {
 	ctx := context.Background()
 	start := now()
 	var tables []*core.Table
-	var err error
 	if *server != "" {
 		tables, err = runRemote(ctx, *server, *exp, cfg)
 	} else if *exp == "all" {
@@ -185,6 +203,46 @@ func run(args []string, stdout io.Writer, now func() time.Time) error {
 		fmt.Fprintf(stdout, "[total %.1fs]\n", wall.Seconds())
 	}
 	return nil
+}
+
+// startProfiles starts the opt-in CPU profile and returns the function that
+// stops it and writes the heap profile. An empty path disables that
+// profile.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpuFile *os.File
+	if cpuPath != "" {
+		if cpuFile, err = os.Create(cpuPath); err != nil {
+			return nil, fmt.Errorf("-cpuprofile: %w", err)
+		}
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			cpuFile.Close()
+			return nil, fmt.Errorf("-cpuprofile: %w", err)
+		}
+	}
+	return func() error {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			if err := cpuFile.Close(); err != nil {
+				return fmt.Errorf("-cpuprofile: %w", err)
+			}
+		}
+		if memPath == "" {
+			return nil
+		}
+		f, err := os.Create(memPath)
+		if err != nil {
+			return fmt.Errorf("-memprofile: %w", err)
+		}
+		runtime.GC() // the heap profile reports live data as of the last GC
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			f.Close()
+			return fmt.Errorf("-memprofile: %w", err)
+		}
+		if err := f.Close(); err != nil {
+			return fmt.Errorf("-memprofile: %w", err)
+		}
+		return nil
+	}, nil
 }
 
 // listExperiments resolves the -list rows: the local registry, or the

@@ -205,3 +205,38 @@ func TestConfigErrorNamesFlag(t *testing.T) {
 		t.Errorf("error %v does not name the -maxk flag", err)
 	}
 }
+
+// TestProfileFlags checks that -cpuprofile and -memprofile write non-empty
+// profiles and leave the printed tables byte-identical, and that an
+// unwritable profile path fails before anything runs.
+func TestProfileFlags(t *testing.T) {
+	args := []string{"-exp", "E1", "-seed", "7", "-trials", "2", "-maxk", "4", "-format", "tsv"}
+	var plain bytes.Buffer
+	if err := run(args, &plain, fixedClock); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	var profiled bytes.Buffer
+	if err := run(append([]string{"-cpuprofile", cpu, "-memprofile", mem}, args...), &profiled, fixedClock); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(plain.Bytes(), profiled.Bytes()) {
+		t.Errorf("profiling changed the output:\n--- plain ---\n%s\n--- profiled ---\n%s", plain.Bytes(), profiled.Bytes())
+	}
+	for _, p := range []string{cpu, mem} {
+		if st, err := os.Stat(p); err != nil {
+			t.Error(err)
+		} else if st.Size() == 0 {
+			t.Errorf("profile %s is empty", p)
+		}
+	}
+	var buf bytes.Buffer
+	bad := filepath.Join(dir, "missing", "cpu.pprof")
+	if err := run(append([]string{"-cpuprofile", bad}, args...), &buf, fixedClock); err == nil || !strings.Contains(err.Error(), "-cpuprofile") {
+		t.Errorf("unwritable -cpuprofile: err = %v", err)
+	}
+	if buf.Len() != 0 {
+		t.Errorf("failed run printed %q", buf.String())
+	}
+}

@@ -80,11 +80,10 @@ func MeasureSymbolic(spec regular.Spec, n int64, src profile.Source, maxBoxes in
 // (strict scans, spread scans, ...) carry over.
 func MeasureSymbolicExec(e *regular.Exec, src profile.Source, maxBoxes int64) (RunResult, error) {
 	e.Reset()
-	spec, n := e.Spec(), e.N()
-	res := RunResult{Spec: spec, N: n}
+	res := RunResult{Spec: e.Spec(), N: e.N()}
 	err := e.Run(src.Next, maxBoxes, func(box, prog int64) {
 		res.Boxes++
-		res.BoundedPotential += spec.BoundedPotential(box, n)
+		res.BoundedPotential += e.BoundedPotential(box)
 		res.Progress += prog
 		res.BoxSizeSum += box
 	})
@@ -110,7 +109,7 @@ func MeasureTrace(spec regular.Spec, n int64, src profile.Source, maxBoxes int64
 	if err != nil {
 		return RunResult{}, err
 	}
-	return traceResult(spec, n, stats), nil
+	return BoxStatsResult(spec, n, stats), nil
 }
 
 // MeasureTracePolicy is MeasureTrace generalised over the replacement
@@ -133,7 +132,7 @@ func MeasureTracePolicy(spec regular.Spec, n int64, policy string, src profile.S
 		if err != nil {
 			return RunResult{}, err
 		}
-		return traceResult(spec, n, stats), nil
+		return BoxStatsResult(spec, n, stats), nil
 	}
 	p, err := paging.NewReplacementPolicy(policy, 1)
 	if err != nil {
@@ -148,16 +147,17 @@ func MeasureTracePolicy(spec regular.Spec, n int64, policy string, src profile.S
 	if err != nil {
 		return RunResult{}, err
 	}
-	return traceResult(spec, n, stats), nil
+	return BoxStatsResult(spec, n, stats), nil
 }
 
-// traceResult folds a per-box ledger into a RunResult in box order — the
-// float accumulation order is part of the byte-identity contract between
-// the streamed and materialized replays.
-func traceResult(spec regular.Spec, n int64, stats []paging.BoxStat) RunResult {
+// BoxStatsResult folds a trace replay's per-box ledger into a RunResult in
+// box order — the float accumulation order is part of the byte-identity
+// contract between the streamed and materialized replays.
+func BoxStatsResult(spec regular.Spec, n int64, stats []paging.BoxStat) RunResult {
 	res := RunResult{Spec: spec, N: n, Boxes: int64(len(stats))}
+	exp := spec.Exponent()
 	for _, s := range stats {
-		res.BoundedPotential += spec.BoundedPotential(s.Size, n)
+		res.BoundedPotential += regular.BoundedPow(s.Size, n, exp)
 		res.Progress += s.Leaves
 		res.BoxSizeSum += s.Size
 	}

@@ -33,7 +33,7 @@ func TestGapOnWorstCaseProfileIsExactlyLog(t *testing.T) {
 			if res.Boxes != int64(wc.Len()) {
 				t.Errorf("%v n=%d: used %d boxes, profile has %d", spec, n, res.Boxes, wc.Len())
 			}
-			if float64(res.Progress) != spec.LeafCount(n) {
+			if res.Progress != profile.Pow(tc.a, k) {
 				t.Errorf("%v n=%d: progress %d", spec, n, res.Progress)
 			}
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/adaptivity"
 	"repro/internal/matrix"
 	"repro/internal/paging"
 	"repro/internal/profile"
@@ -88,11 +89,7 @@ func runA1(cfg Config) (*Table, error) {
 			if err != nil {
 				return 0, err
 			}
-			var pot float64
-			for _, s := range st {
-				pot += spec.BoundedPotential(s.Size, n)
-			}
-			return pot / spec.Potential(n), nil
+			return adaptivity.BoxStatsResult(spec, n, st).Gap(), nil
 		}
 
 		canon, err := gapOf(func(s trace.Sink) error {
@@ -278,11 +275,7 @@ func runA3(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			var pot float64
-			for _, s := range st {
-				pot += spec.BoundedPotential(s.Size, n)
-			}
-			gap := pot / spec.Potential(n)
+			gap := adaptivity.BoxStatsResult(spec, n, st).Gap()
 			t.AddRow(fmt.Sprintf("%.2f", c), k, n, gap)
 			ks = append(ks, float64(k))
 			gaps = append(gaps, gap)

@@ -162,8 +162,9 @@ func runE13(cfg Config) (*Table, error) {
 		Header: []string{"dim", "policy", "M (blocks)", "faults", "Δfaults(M+1)", "Δfaults(M+8)"},
 	}
 
-	// One fault curve per (dim, policy): faults at every capacity in the
-	// sweep, computed as engine cells over the shared read-only traces.
+	// One fault curve per (dim, policy) over the shared read-only traces:
+	// the stack policies (lru, opt) in one cell each from a one-pass stack
+	// curve, the others one cell per capacity in the sweep.
 	nM := int(e13SweepHi - e13SweepLo + 1)
 	traces := make([]*traceCurve, len(dims))
 	for di, dim := range dims {
@@ -176,10 +177,15 @@ func runE13(cfg Config) (*Table, error) {
 			traces[di].faults[p] = make([]int64, nM)
 		}
 	}
+	const wholeCurve = -1 // cell.mi of a stack policy's one-pass cell
 	type cell struct{ di, p, mi int }
 	var cells []cell
 	for di := range dims {
-		for p := range policies {
+		for p, pol := range policies {
+			if paging.IsStackPolicy(pol) {
+				cells = append(cells, cell{di, p, wholeCurve})
+				continue
+			}
 			for mi := 0; mi < nM; mi++ {
 				cells = append(cells, cell{di, p, mi})
 			}
@@ -188,8 +194,28 @@ func runE13(cfg Config) (*Table, error) {
 	g := engine.NewGroup().WithContext(cfg.Context())
 	if err := g.Map(len(cells), func(i, _ int) error {
 		c := cells[i]
-		m := e13SweepLo + int64(c.mi)
-		faults, err := paging.RunPolicyFixed(policies[c.p], traces[c.di].tr, m)
+		pol, tr := policies[c.p], traces[c.di].tr
+		if c.mi == wholeCurve {
+			curve, err := paging.StackCurve(pol, tr, e13SweepLo, e13SweepHi)
+			if err != nil {
+				return err
+			}
+			// The curve is monotone by construction, so the anomaly check
+			// below cannot catch a bug in it; the kernels at the grid
+			// capacities, which share no code with it, can.
+			for _, m := range gridMs {
+				faults, err := paging.RunPolicyFixed(pol, tr, m)
+				if err != nil {
+					return err
+				}
+				if got := curve[m-e13SweepLo]; got != faults {
+					return fmt.Errorf("E13: %s stack curve gives %d faults at M=%d on dim %d, the kernel %d", pol, got, m, dims[c.di], faults)
+				}
+			}
+			copy(traces[c.di].faults[c.p], curve)
+			return nil
+		}
+		faults, err := paging.RunPolicyFixed(pol, tr, e13SweepLo+int64(c.mi))
 		if err != nil {
 			return err
 		}
@@ -219,7 +245,7 @@ func runE13(cfg Config) (*Table, error) {
 				}
 			}
 			notes = append(notes, fmt.Sprintf("dim %d %s: max anomaly %+d faults/+1 block", dim, pol, anomaly))
-			if anomaly > 0 && (pol == "lru" || pol == paging.OPTReplayName) {
+			if anomaly > 0 && paging.IsStackPolicy(pol) {
 				return nil, fmt.Errorf("E13: %s shows a Belady anomaly (%d) at dim %d — stack policies are monotone", pol, anomaly, dim)
 			}
 		}

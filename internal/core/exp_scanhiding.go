@@ -97,7 +97,7 @@ func runA6(cfg Config) (*Table, error) {
 			var pot float64
 			maxBoxes := int64(spec.IOCost(n)) + 1
 			err = e.Run(src.Next, maxBoxes, func(box, _ int64) {
-				pot += spec.BoundedPotential(box, n)
+				pot += e.BoundedPotential(box)
 			})
 			if err != nil {
 				return 0, err

@@ -424,7 +424,7 @@ func runE8(cfg Config) (*Table, error) {
 			var pot float64
 			for !e.Done() {
 				box := src.Next()
-				pot += spec.BoundedPotential(box, n)
+				pot += e.BoundedPotential(box)
 				e.Step(box)
 			}
 			alignedGaps = append(alignedGaps, pot/spec.Potential(n))

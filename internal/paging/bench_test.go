@@ -250,3 +250,35 @@ func BenchmarkServedRepeat(b *testing.B) {
 	}
 	b.ReportMetric(float64(served)/b.Elapsed().Seconds(), "refs/s")
 }
+
+// BenchmarkFaultCurve compares the two ways E13 can get a stack policy's
+// fault curve over M ∈ [8, 136] on its dim-64 MM-Scan trace: one pass of
+// StackCurve ("stack") against one RunPolicyFixed replay per capacity
+// ("per-capacity"). ns/op is the cost of the whole 129-point curve.
+//
+//	go test ./internal/paging -run=NONE -bench=FaultCurve -benchmem
+func BenchmarkFaultCurve(b *testing.B) {
+	tr, err := matrix.TraceMulScan(64, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const lo, hi = 8, 136
+	for _, p := range []string{"lru", OPTReplayName} {
+		b.Run(p+"/stack", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := StackCurve(p, tr, lo, hi); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(p+"/per-capacity", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for m := int64(lo); m <= hi; m++ {
+					if _, err := RunPolicyFixed(p, tr, m); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}

@@ -48,6 +48,7 @@ func NodeChild(node, a, i int64) int64 {
 type frame struct {
 	node         int64
 	size         int64
+	level        int // log_b size: the index of size in the executor's level table
 	childrenDone int64
 	segRemaining int64 // accesses left in the current scan segment
 	scanLeft     int64 // scan accesses not yet performed across all segments
@@ -87,11 +88,34 @@ type Exec struct {
 	// box-order-perturbation worst-case witness requires.
 	strictScans bool
 
+	// levels is log_b n, and lv[k] describes problems of size b^k for
+	// k = 0..levels, so the step loop reads sizes, leaf counts and scan
+	// lengths instead of recomputing them.
+	levels int
+	lv     []level
+	// exp is log_b a, hoisted out of every potential evaluation; pots
+	// memoises min(box, n)^exp for boxes below potMemoCap, 0 meaning unset
+	// (every stored value is >= 1). It is allocated on first use.
+	exp  float64
+	pots []float64
+
 	stack      []frame
 	done       bool
 	leavesDone int64 // total base cases completed
 	boxesUsed  int64 // boxes consumed (Step calls while running)
 }
+
+// level is one row of the executor's level table.
+type level struct {
+	size   int64 // b^k
+	leaves int64 // a^k, the base cases in a problem of size b^k
+	scan   int64 // ScanLen(b^k)
+}
+
+// potMemoCap caps the potential memo at 2^16 entries (512 KiB): boxes
+// (clamped to n) of this size or more are evaluated directly, so a large n
+// never allocates an n-sized table.
+const potMemoCap = 1 << 16
 
 // NewExec validates the problem size and returns a fresh executor with
 // canonical (end-of-problem) scan placement, positioned at the start of the
@@ -110,24 +134,32 @@ func NewExecWithPolicy(spec Spec, n int64, policy ScanPolicy) (*Exec, error) {
 	}
 	// Guard leaf-count overflow: a^k must fit comfortably in int64 (node
 	// IDs are bounded by roughly the leaf count as well).
-	if k := spec.Levels(n); float64(k)*math.Log(float64(spec.A)) > 62*math.Log(2) {
+	k := spec.Levels(n)
+	if float64(k)*math.Log(float64(spec.A)) > 62*math.Log(2) {
 		return nil, fmt.Errorf("regular: problem size %d has too many leaves for int64 accounting", n)
 	}
-	e := &Exec{spec: spec, n: n, policy: policy}
+	e := &Exec{spec: spec, n: n, policy: policy, levels: k, lv: make([]level, k+1), exp: spec.Exponent()}
+	size, leaves := int64(1), int64(1)
+	for i := range e.lv {
+		e.lv[i] = level{size: size, leaves: leaves, scan: spec.ScanLen(size)}
+		if i < k {
+			size *= spec.B
+			leaves *= spec.A
+		}
+	}
 	e.Reset()
 	return e, nil
 }
 
-// segmentAt returns the length of the scan segment of a size-`size` problem
-// at slot (= number of children completed so far). Slots run 0..a; the
-// canonical layout puts the whole scan at the policy slot (default a), the
-// spread layout 1/a of it after each child with the remainder after the
-// last.
-func (e *Exec) segmentAt(node, size, slot int64) int64 {
-	if e.skipRootScan && node == NodeRoot {
+// segmentAt returns the length of f's scan segment at slot (= number of
+// children completed so far). Slots run 0..a; the canonical layout puts the
+// whole scan at the policy slot (default a), the spread layout 1/a of it
+// after each child with the remainder after the last.
+func (e *Exec) segmentAt(f *frame, slot int64) int64 {
+	if e.skipRootScan && f.node == NodeRoot {
 		return 0 // the f' measurement: the root performs no scan
 	}
-	total := e.spec.ScanLen(size)
+	total := e.lv[f.level].scan
 	if total == 0 {
 		return 0
 	}
@@ -143,9 +175,9 @@ func (e *Exec) segmentAt(node, size, slot int64) int64 {
 	}
 	at := e.spec.A
 	if e.policy != nil {
-		at = e.policy(node, size)
+		at = e.policy(f.node, f.size)
 		if at < 0 || at > e.spec.A {
-			panic(fmt.Sprintf("regular: scan policy returned %d outside [0,%d] for node %d", at, e.spec.A, node))
+			panic(fmt.Sprintf("regular: scan policy returned %d outside [0,%d] for node %d", at, e.spec.A, f.node))
 		}
 	}
 	if slot == at {
@@ -154,11 +186,11 @@ func (e *Exec) segmentAt(node, size, slot int64) int64 {
 	return 0
 }
 
-// newFrame initialises a frame at the start of its problem, entering the
-// slot-0 scan segment if the layout has one.
-func (e *Exec) newFrame(node, size int64) frame {
-	f := frame{node: node, size: size, scanLeft: e.spec.ScanLen(size)}
-	f.segRemaining = e.segmentAt(node, size, 0)
+// newFrame initialises a frame for the problem of size b^lvl at the start
+// of its execution, entering the slot-0 scan segment if the layout has one.
+func (e *Exec) newFrame(node int64, lvl int) frame {
+	f := frame{node: node, size: e.lv[lvl].size, level: lvl, scanLeft: e.lv[lvl].scan}
+	f.segRemaining = e.segmentAt(&f, 0)
 	return f
 }
 
@@ -173,7 +205,7 @@ func (e *Exec) Reset() {
 		e.stack = append(e.stack, frame{node: NodeRoot, size: 1})
 		return
 	}
-	root := e.newFrame(NodeRoot, e.n)
+	root := e.newFrame(NodeRoot, e.levels)
 	if e.skipRootScan {
 		root.scanLeft = 0
 		root.segRemaining = 0
@@ -241,7 +273,41 @@ func (e *Exec) LeavesDone() int64 { return e.leavesDone }
 func (e *Exec) BoxesUsed() int64 { return e.boxesUsed }
 
 // TotalLeaves returns the number of base cases in the whole problem.
-func (e *Exec) TotalLeaves() int64 { return e.spec.leafCountInt(e.spec.Levels(e.n)) }
+func (e *Exec) TotalLeaves() int64 { return e.lv[e.levels].leaves }
+
+// BoundedPotential returns min(n, |□|)^{log_b a}, bit for bit equal to
+// e.Spec().BoundedPotential(box, e.N()): the exponent is the same float64,
+// computed once, and memoised powers are the same math.Pow results.
+func (e *Exec) BoundedPotential(box int64) float64 {
+	if box > e.n {
+		box = e.n
+	}
+	if box < 1 || box >= potMemoCap {
+		return BoundedPow(box, e.n, e.exp)
+	}
+	if e.pots == nil {
+		e.pots = make([]float64, min(e.n+1, potMemoCap))
+	}
+	p := e.pots[box]
+	if p == 0 {
+		p = BoundedPow(box, e.n, e.exp)
+		e.pots[box] = p
+	}
+	return p
+}
+
+// targetLevel returns the level of the problem a box of the given size
+// completes at most: box rounded down to a power of b (minimum 1), capped
+// at n. The simplified model uses power-of-b box sizes; general sizes are
+// rounded down for completion decisions, which only weakens boxes and so
+// keeps the efficiency criterion conservative.
+func (e *Exec) targetLevel(box int64) int {
+	k := 0
+	for k < e.levels && e.lv[k+1].size <= box {
+		k++
+	}
+	return k
+}
 
 // Step feeds one box of the given size to the execution and returns the
 // progress the box makes (base cases completed at least partly within it).
@@ -264,20 +330,16 @@ func (e *Exec) Step(box int64) int64 {
 		return 1
 	}
 
-	target := e.spec.FloorPow(box)
-	if target > e.n {
-		target = e.n
-	}
+	target := e.targetLevel(box)
 
 	for {
 		top := &e.stack[len(e.stack)-1]
 		if top.segRemaining > 0 {
-			m := top.size
-			if !e.strictScans && target >= m {
+			if !e.strictScans && target >= top.level {
 				// The scan's position lies inside the ancestor problems of
-				// sizes m, m·b, ..., n; the box completes the one of size
-				// target.
-				return e.completeWithProgress(e.frameIndexOfSize(target))
+				// sizes top.size, top.size·b, ..., n; the box completes the
+				// one at the target level.
+				return e.completeWithProgress(e.frameIndex(target))
 			}
 			// The box begins in a scan segment of a problem larger than
 			// itself: it advances min(box, remaining segment) accesses and
@@ -295,28 +357,29 @@ func (e *Exec) Step(box int64) int64 {
 		}
 
 		// At the start of the next child of the top frame.
-		childSize := top.size / e.spec.B
+		child := top.level - 1
 		switch {
-		case target > childSize:
+		case target > child:
 			// The position lies strictly inside the ancestor problems of
-			// sizes top.size, ..., n. Complete the ancestor of size target.
-			return e.completeWithProgress(e.frameIndexOfSize(target))
-		case target == childSize:
+			// sizes top.size, ..., n. Complete the ancestor at the target
+			// level.
+			return e.completeWithProgress(e.frameIndex(target))
+		case target == child:
 			// The box completes the child as a unit.
-			progress := e.spec.leafCountInt(e.spec.Levels(childSize))
+			progress := e.lv[child].leaves
 			e.leavesDone += progress
 			top.childrenDone++
-			top.segRemaining = e.segmentAt(top.node, top.size, top.childrenDone)
+			top.segRemaining = e.segmentAt(top, top.childrenDone)
 			e.normalise()
 			return progress
 		default:
-			// target < childSize (hence childSize > 1): descend into the
-			// child and re-examine. The child's execution may begin with
-			// its own scan segment (upfront placement) or with its first
-			// grandchild; the loop handles both.
+			// target < child (hence the child's size > 1): descend into
+			// the child and re-examine. The child's execution may begin
+			// with its own scan segment (upfront placement) or with its
+			// first grandchild; the loop handles both.
 			childIdx := top.childrenDone + 1 // 1-based
 			node := NodeChild(top.node, e.spec.A, childIdx)
-			e.stack = append(e.stack, e.newFrame(node, childSize))
+			e.stack = append(e.stack, e.newFrame(node, child))
 		}
 	}
 }
@@ -335,19 +398,19 @@ func (e *Exec) completeWithProgress(idx int) int64 {
 	e.stack = e.stack[:idx]
 	top := &e.stack[idx-1]
 	top.childrenDone++
-	top.segRemaining = e.segmentAt(top.node, top.size, top.childrenDone)
+	top.segRemaining = e.segmentAt(top, top.childrenDone)
 	e.normalise()
 	return progress
 }
 
-// frameIndexOfSize returns the index of the stack frame with the given
-// size. Sizes on the stack are n, n/b, ..., top.size, so for any target
-// power of b in [top.size, n] the frame exists.
-func (e *Exec) frameIndexOfSize(size int64) int {
-	depth := e.spec.Levels(e.n) - e.spec.Levels(size)
+// frameIndex returns the index of the stack frame at the given level.
+// Levels on the stack are levels, levels−1, ..., top.level, so for any
+// target level in [top.level, levels] the frame exists.
+func (e *Exec) frameIndex(lvl int) int {
+	depth := e.levels - lvl
 	if depth < 0 || depth >= len(e.stack) {
 		panic(fmt.Sprintf("regular: no frame of size %d on stack (depth %d, stack %d)",
-			size, depth, len(e.stack)))
+			e.lv[lvl].size, depth, len(e.stack)))
 	}
 	return depth
 }
@@ -362,7 +425,7 @@ func (e *Exec) remainingLeaves(idx int) int64 {
 		if i < len(e.stack)-1 {
 			pending-- // the active child is accounted for by deeper frames
 		}
-		rem += pending * e.spec.leafCountInt(e.spec.Levels(f.size)-1)
+		rem += pending * e.lv[f.level-1].leaves
 	}
 	return rem
 }
@@ -393,7 +456,7 @@ func (e *Exec) normalise() {
 		e.stack = e.stack[:len(e.stack)-1]
 		parent := &e.stack[len(e.stack)-1]
 		parent.childrenDone++
-		parent.segRemaining = e.segmentAt(parent.node, parent.size, parent.childrenDone)
+		parent.segRemaining = e.segmentAt(parent, parent.childrenDone)
 	}
 }
 

@@ -272,11 +272,11 @@ func TestRandomRunInvariants(t *testing.T) {
 			box := 1 + local.Int63n(2*n)
 			p := e.Step(box)
 			// Sound upper bound on progress of one box.
-			capSize := spec.FloorPow(box) * spec.B
+			capSize := floorPow(spec, box) * spec.B
 			if capSize > n {
 				capSize = n
 			}
-			if float64(p) > spec.LeafCount(capSize) {
+			if float64(p) > leafCount(spec, capSize) {
 				return false
 			}
 			total += p

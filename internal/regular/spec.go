@@ -96,23 +96,6 @@ func (s Spec) Levels(n int64) int {
 	return k
 }
 
-// LeafCount returns the exact number of base cases in a problem of size n
-// (a^{log_b n}), as a float64 to sidestep overflow for large instances; for
-// the experiment sizes used here the value is exactly representable.
-func (s Spec) LeafCount(n int64) float64 {
-	return math.Pow(float64(s.A), float64(s.Levels(n)))
-}
-
-// leafCountInt returns a^k as int64; callers guarantee no overflow (problem
-// sizes are validated against int64 limits in NewExec).
-func (s Spec) leafCountInt(k int) int64 {
-	r := int64(1)
-	for i := 0; i < k; i++ {
-		r *= s.A
-	}
-	return r
-}
-
 // ScanLen returns the length of the scan at the end of a problem of size n:
 // ceil(n^c) accesses (n accesses when c = 1, a single access when c = 0).
 // Base cases (n = 1) have no scan.
@@ -142,25 +125,16 @@ func (s Spec) Potential(box int64) float64 {
 // BoundedPotential returns min(n, |□|)^{log_b a}, the per-box term of the
 // efficiency criterion in Equation 2.
 func (s Spec) BoundedPotential(box, n int64) float64 {
+	return BoundedPow(box, n, s.Exponent())
+}
+
+// BoundedPow is BoundedPotential with the exponent supplied: folds over many
+// boxes compute s.Exponent() once and get the same bits per box.
+func BoundedPow(box, n int64, exp float64) float64 {
 	if box > n {
 		box = n
 	}
-	return math.Pow(float64(box), s.Exponent())
-}
-
-// FloorPow rounds s' down to the largest power of b that is <= x (minimum
-// 1). The simplified model uses power-of-b box sizes; general sizes are
-// rounded down for completion decisions, which only weakens boxes and so
-// keeps the efficiency criterion conservative.
-func (s Spec) FloorPow(x int64) int64 {
-	if x < 1 {
-		return 1
-	}
-	p := int64(1)
-	for p <= x/s.B {
-		p *= s.B
-	}
-	return p
+	return math.Pow(float64(box), exp)
 }
 
 // String renders the spec the way the paper writes it.

@@ -3,6 +3,8 @@ package regular
 import (
 	"math"
 	"testing"
+
+	"repro/internal/profile"
 )
 
 func TestNewSpecValidation(t *testing.T) {
@@ -76,13 +78,23 @@ func TestValidSizeLevels(t *testing.T) {
 }
 
 func TestLeafCount(t *testing.T) {
-	s := MMScanSpec
-	// 8^3 leaves for n = 4^3.
-	if got := s.LeafCount(64); got != 512 {
-		t.Errorf("LeafCount(64) = %g, want 512", got)
+	// 8^3 leaves for n = 4^3, read from the executor's level table.
+	e := mustExec(t, MMScanSpec, 64)
+	if got := e.TotalLeaves(); got != 512 {
+		t.Errorf("TotalLeaves(n=64) = %d, want 512", got)
 	}
-	if got := s.leafCountInt(3); got != 512 {
-		t.Errorf("leafCountInt(3) = %d, want 512", got)
+	for _, spec := range []Spec{MMScanSpec, MMInPlaceSpec, StrassenSpec, LCSSpec, MustSpec(3, 2, 0.5)} {
+		e := mustExec(t, spec, profile.Pow(spec.B, 6))
+		if e.levels != 6 || len(e.lv) != 7 {
+			t.Fatalf("%v: levels %d, table %d rows", spec, e.levels, len(e.lv))
+		}
+		for k, row := range e.lv {
+			size := profile.Pow(spec.B, k)
+			if row.size != size || float64(row.leaves) != leafCount(spec, size) || row.scan != spec.ScanLen(size) {
+				t.Errorf("%v level %d: row %+v, want size %d leaves %g scan %d",
+					spec, k, row, size, leafCount(spec, size), spec.ScanLen(size))
+			}
+		}
 	}
 }
 
@@ -117,16 +129,36 @@ func TestIOCost(t *testing.T) {
 }
 
 func TestFloorPow(t *testing.T) {
-	s := MMScanSpec // b = 4
+	// The executor's target level rounds a box down to a power of b
+	// (minimum 1) and caps it at n.
+	e := mustExec(t, MMScanSpec, 64) // b = 4
 	cases := []struct{ x, want int64 }{
-		{1, 1}, {2, 1}, {3, 1}, {4, 4}, {5, 4}, {15, 4}, {16, 16}, {100, 64},
-		{0, 1}, {-7, 1},
+		{1, 1}, {2, 1}, {3, 1}, {4, 4}, {5, 4}, {15, 4}, {16, 16}, {63, 16},
+		{64, 64}, {100, 64}, {1 << 40, 64}, {0, 1}, {-7, 1},
 	}
 	for _, tc := range cases {
-		if got := s.FloorPow(tc.x); got != tc.want {
-			t.Errorf("FloorPow(%d) = %d, want %d", tc.x, got, tc.want)
+		if got := e.lv[e.targetLevel(tc.x)].size; got != tc.want {
+			t.Errorf("target size of box %d = %d, want %d", tc.x, got, tc.want)
+		}
+		if want := min(floorPow(MMScanSpec, tc.x), 64); tc.want != want {
+			t.Errorf("case %d: reference floorPow gives %d", tc.x, want)
 		}
 	}
+}
+
+// floorPow is the reference rounding: the largest power of s.B that is
+// <= x, minimum 1.
+func floorPow(s Spec, x int64) int64 {
+	p := int64(1)
+	for x >= 1 && p <= x/s.B {
+		p *= s.B
+	}
+	return p
+}
+
+// leafCount is the reference leaf count a^{log_b n} of a problem of size n.
+func leafCount(s Spec, n int64) float64 {
+	return math.Pow(float64(s.A), float64(s.Levels(n)))
 }
 
 func TestPotential(t *testing.T) {

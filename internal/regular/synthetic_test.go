@@ -22,7 +22,7 @@ func TestSyntheticTraceShape(t *testing.T) {
 		if got, want := float64(tr.Len()), tc.spec.IOCost(tc.n); got != want {
 			t.Errorf("%v n=%d: trace len %g, want T(n)=%g", tc.spec, tc.n, got, want)
 		}
-		if got, want := float64(tr.Leaves()), tc.spec.LeafCount(tc.n); got != want {
+		if got, want := float64(tr.Leaves()), leafCount(tc.spec, tc.n); got != want {
 			t.Errorf("%v n=%d: leaves %g, want %g", tc.spec, tc.n, got, want)
 		}
 		// Definition 2: a problem of size n accesses exactly Θ(n) distinct

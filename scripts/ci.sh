@@ -67,12 +67,13 @@ go test -race -short \
 echo "== go test -race (policy registry + adaptive kernels) =="
 # The ReplacementPolicy registry end to end: ARC/2Q differential oracles,
 # the live-kernel box replay (PolicyStream/PolicyRun/OPTRunBoxes), the
-# registry-name plumbing through MeasureTracePolicy, and the reference
-# conformance suite over every registered policy.
+# registry-name plumbing through MeasureTracePolicy, the reference
+# conformance suite over every registered policy, and the one-pass LRU/OPT
+# stack curves against the per-capacity kernels.
 go test -race -short \
     ./internal/paging/ \
     ./internal/adaptivity/ \
-    -run 'TestARC|Test2Q|TestTwoQ|TestPolicy|TestOPTRunBoxes|TestMeasureTracePolicy' \
+    -run 'TestARC|Test2Q|TestTwoQ|TestPolicy|TestOPTRunBoxes|TestMeasureTracePolicy|TestStackCurve' \
     -count=1
 
 echo "== go test -race (square replay) =="
@@ -129,6 +130,7 @@ go test -run '^$' -fuzz '^FuzzParseAnnotation$' -fuzztime 5s ./internal/lint/
 go test -run '^$' -fuzz '^FuzzKernelsMatchOracles$' -fuzztime 5s ./internal/paging/
 go test -run '^$' -fuzz '^FuzzAdaptivePoliciesMatchOracles$' -fuzztime 5s ./internal/paging/
 go test -run '^$' -fuzz '^FuzzServedRepeatMatchesShiftedReplay$' -fuzztime 5s ./internal/paging/
+go test -run '^$' -fuzz '^FuzzStackCurveMatchesKernels$' -fuzztime 5s ./internal/paging/
 go test -run '^$' -fuzz '^FuzzShardRouting$' -fuzztime 5s ./internal/service/
 go test -run '^$' -fuzz '^FuzzJournalReplay$' -fuzztime 5s ./internal/jobs/
 
