@@ -42,13 +42,12 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/jobs"
+	"repro/internal/pprofcli"
 	"repro/internal/service"
 )
 
@@ -129,7 +128,7 @@ func run(args []string, stdout io.Writer, now func() time.Time) (retErr error) {
 		return err
 	}
 
-	stopProfiles, err := startProfiles(*cpuProf, *memProf)
+	stopProfiles, err := pprofcli.Start(*cpuProf, *memProf)
 	if err != nil {
 		return err
 	}
@@ -203,46 +202,6 @@ func run(args []string, stdout io.Writer, now func() time.Time) (retErr error) {
 		fmt.Fprintf(stdout, "[total %.1fs]\n", wall.Seconds())
 	}
 	return nil
-}
-
-// startProfiles starts the opt-in CPU profile and returns the function that
-// stops it and writes the heap profile. An empty path disables that
-// profile.
-func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
-	var cpuFile *os.File
-	if cpuPath != "" {
-		if cpuFile, err = os.Create(cpuPath); err != nil {
-			return nil, fmt.Errorf("-cpuprofile: %w", err)
-		}
-		if err := pprof.StartCPUProfile(cpuFile); err != nil {
-			cpuFile.Close()
-			return nil, fmt.Errorf("-cpuprofile: %w", err)
-		}
-	}
-	return func() error {
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			if err := cpuFile.Close(); err != nil {
-				return fmt.Errorf("-cpuprofile: %w", err)
-			}
-		}
-		if memPath == "" {
-			return nil
-		}
-		f, err := os.Create(memPath)
-		if err != nil {
-			return fmt.Errorf("-memprofile: %w", err)
-		}
-		runtime.GC() // the heap profile reports live data as of the last GC
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			f.Close()
-			return fmt.Errorf("-memprofile: %w", err)
-		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("-memprofile: %w", err)
-		}
-		return nil
-	}, nil
 }
 
 // listExperiments resolves the -list rows: the local registry, or the

@@ -9,6 +9,7 @@
 //	mmtrace -alg scan -dim 256 -profile p.tsv -policy 2q # profile replay, live kernel
 //	mmtrace -alg scan -dim 128 -worstcase -reps 16      # multiplies under Fig-1 profile
 //	mmtrace -alg scan -dim 1024 -stream -worstcase      # same, streaming (no materialized trace)
+//	mmtrace -alg scan -dim 512 -worstcase -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // With -stream the trace is regenerated into each consumer instead of
 // being built once in memory, so sizes whose materialized trace would not
@@ -21,12 +22,17 @@
 // (clairvoyant Belady replay) for the -profile replay. Unknown names are
 // rejected with the accepted list.
 //
+// -cpuprofile and -memprofile write runtime/pprof profiles of the run (the
+// heap profile after it finishes) for `go tool pprof`; they leave the
+// output unchanged.
+//
 // This is the substrate behind experiments E9 and E11.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -34,13 +40,14 @@ import (
 	"repro/internal/gep"
 	"repro/internal/matrix"
 	"repro/internal/paging"
+	"repro/internal/pprofcli"
 	"repro/internal/profile"
 	"repro/internal/sorting"
 	"repro/internal/trace"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "mmtrace:", err)
 		os.Exit(1)
 	}
@@ -71,21 +78,26 @@ func (d *distinctSink) AccessRange(lo, count int64) {
 	}
 }
 
-func run() error {
+func run(args []string, stdout io.Writer) (retErr error) {
+	fs := flag.NewFlagSet("mmtrace", flag.ContinueOnError)
 	var (
-		alg       = flag.String("alg", "scan", "scan | inplace | strassen | fwscan | fwinplace | lcs | mergesort")
-		dim       = flag.Int("dim", 128, "matrix dimension (power of two)")
-		block     = flag.Int64("block", 8, "words per block")
-		stats     = flag.Bool("stats", false, "print trace statistics")
-		lru       = flag.Int64("lru", 0, "replay under a fixed-capacity cache with this many blocks (kernel chosen by -policy, default lru)")
-		policy    = flag.String("policy", "", "replacement policy for the -lru and -profile replays (\"\" = lru / square respectively); one of "+strings.Join(paging.ReplayNames(), ", "))
-		opt       = flag.Bool("opt", false, "also replay under Belady OPT (with -lru; needs a materialized trace)")
-		worstcase = flag.Bool("worstcase", false, "count multiplies completed within the Figure-1 profile")
-		reps      = flag.Int("reps", 16, "repetitions for -worstcase")
-		profPath  = flag.String("profile", "", "replay the trace against a TSV square profile (e.g. from profilegen)")
-		stream    = flag.Bool("stream", false, "stream the trace into each consumer instead of materializing it")
+		alg       = fs.String("alg", "scan", "scan | inplace | strassen | fwscan | fwinplace | lcs | mergesort")
+		dim       = fs.Int("dim", 128, "matrix dimension (power of two)")
+		block     = fs.Int64("block", 8, "words per block")
+		stats     = fs.Bool("stats", false, "print trace statistics")
+		lru       = fs.Int64("lru", 0, "replay under a fixed-capacity cache with this many blocks (kernel chosen by -policy, default lru)")
+		policy    = fs.String("policy", "", "replacement policy for the -lru and -profile replays (\"\" = lru / square respectively); one of "+strings.Join(paging.ReplayNames(), ", "))
+		opt       = fs.Bool("opt", false, "also replay under Belady OPT (with -lru; needs a materialized trace)")
+		worstcase = fs.Bool("worstcase", false, "count multiplies completed within the Figure-1 profile")
+		reps      = fs.Int("reps", 16, "repetitions for -worstcase")
+		profPath  = fs.String("profile", "", "replay the trace against a TSV square profile (e.g. from profilegen)")
+		stream    = fs.Bool("stream", false, "stream the trace into each consumer instead of materializing it")
+		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf   = fs.String("memprofile", "", "write a heap profile to this file after the run")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	// Validate -policy up front so a typo fails before any trace is built.
 	if *policy != "" && !paging.HasPolicy(*policy) &&
@@ -113,15 +125,30 @@ func run() error {
 		return fmt.Errorf("unknown algorithm %q", *alg)
 	}
 
-	// Without -stream, materialize once and reuse the trace for every
-	// consumer, exactly as before.
+	stopProfiles, err := pprofcli.Start(*cpuProf, *memProf)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err := stopProfiles(); retErr == nil {
+			retErr = err
+		}
+	}()
+
+	// Without -stream, materialize once and replay the trace into every
+	// consumer.
 	var tr *trace.Trace
+	replay := emit
 	if !*stream {
 		b := &trace.Builder{}
 		if err := emit(b); err != nil {
 			return err
 		}
 		tr = b.Build()
+		replay = func(s trace.Sink) error {
+			trace.Replay(tr, s)
+			return nil
+		}
 	}
 	// measure streams one emission through a counting sink; with a
 	// materialized trace it reads the stored summary instead.
@@ -138,16 +165,16 @@ func run() error {
 
 	did := false
 	if *stats {
-		fmt.Printf("algorithm=%s dim=%d B=%d\n", *alg, *dim, *block)
+		fmt.Fprintf(stdout, "algorithm=%s dim=%d B=%d\n", *alg, *dim, *block)
 		if tr != nil {
-			fmt.Printf("references=%d distinct-blocks=%d base-cases=%d\n",
+			fmt.Fprintf(stdout, "references=%d distinct-blocks=%d base-cases=%d\n",
 				tr.Len(), tr.DistinctBlocks(), tr.Leaves())
 		} else {
 			d := &distinctSink{}
 			if err := emit(d); err != nil {
 				return err
 			}
-			fmt.Printf("references=%d distinct-blocks=%d base-cases=%d\n",
+			fmt.Fprintf(stdout, "references=%d distinct-blocks=%d base-cases=%d\n",
 				d.Refs, d.distinct, d.Leaves)
 		}
 		did = true
@@ -187,7 +214,7 @@ func run() error {
 			misses = p.Misses()
 		}
 		label := strings.ToUpper(name)
-		fmt.Printf("%s(M=%d blocks): %d misses (%.1f%% of references)\n",
+		fmt.Fprintf(stdout, "%s(M=%d blocks): %d misses (%.1f%% of references)\n",
 			label, *lru, misses, 100*float64(misses)/float64(refs))
 		if *opt && name != paging.OPTReplayName {
 			if tr == nil {
@@ -197,7 +224,7 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			fmt.Printf("OPT(M=%d blocks): %d misses (%s/OPT = %.2f)\n", *lru, om, label, float64(misses)/float64(om))
+			fmt.Fprintf(stdout, "OPT(M=%d blocks): %d misses (%s/OPT = %.2f)\n", *lru, om, label, float64(misses)/float64(om))
 		}
 		did = true
 	}
@@ -235,18 +262,11 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		replay := emit
-		if tr != nil {
-			replay = func(s trace.Sink) error {
-				trace.Replay(tr, s)
-				return nil
-			}
-		}
 		served, err := paging.ServedRepeat(replay, maxBlock, boxSrc, nBoxes, *reps)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("worst-case profile: %d boxes, %d I/Os; %s completed %d multiplies\n",
+		fmt.Fprintf(stdout, "worst-case profile: %d boxes, %d I/Os; %s completed %d multiplies\n",
 			nBoxes, duration, *alg, served/refs)
 		did = true
 	}
@@ -271,51 +291,62 @@ func run() error {
 		if name == "" {
 			name = paging.SquareReplayName
 		}
-		var st []paging.BoxStat
-		switch {
-		case name == paging.SquareReplayName && tr != nil:
-			st, err = paging.SquareRun(tr, src, 0)
-		case name == paging.SquareReplayName:
-			_, _, maxBlock, merr := measure()
-			if merr != nil {
-				return merr
+		var tally boxTally
+		if name == paging.OPTReplayName {
+			if tr == nil {
+				return fmt.Errorf("-policy opt needs the full trace for the next-use precomputation; drop -stream")
 			}
-			q := paging.NewSquareStream(src, 0)
-			q.Reserve(maxBlock)
-			if err := emit(q); err != nil {
+			plan, err := paging.NewOPTPlan(tr)
+			if err != nil {
 				return err
 			}
-			st, err = q.Finish()
-		case tr != nil:
-			st, err = paging.PolicyRun(name, tr, src, 0)
-		case name == paging.OPTReplayName:
-			return fmt.Errorf("-policy opt needs the full trace for the next-use precomputation; drop -stream")
-		default:
-			p, perr := paging.NewReplacementPolicy(name, 1)
-			if perr != nil {
-				return perr
-			}
-			_, _, maxBlock, merr := measure()
-			if merr != nil {
-				return merr
-			}
-			q := paging.NewPolicyStream(p, src, 0)
-			q.Reserve(maxBlock)
-			if err := emit(q); err != nil {
+			if err := plan.Run(src, 0, tally.add); err != nil {
 				return err
 			}
-			st, err = q.Finish()
+		} else {
+			_, _, maxBlock, err := measure()
+			if err != nil {
+				return err
+			}
+			var q interface {
+				trace.Sink
+				Reserve(maxBlock int64)
+				Finish() error
+			}
+			if name == paging.SquareReplayName {
+				q = paging.NewSquareStream(src, 0, tally.add)
+			} else {
+				p, err := paging.NewReplacementPolicy(name, 1)
+				if err != nil {
+					return err
+				}
+				q = paging.NewPolicyStream(p, src, 0, tally.add)
+			}
+			q.Reserve(maxBlock)
+			if err := replay(q); err != nil {
+				return err
+			}
+			if err := q.Finish(); err != nil {
+				return err
+			}
 		}
-		if err != nil {
-			return err
-		}
-		fmt.Printf("custom profile %s (%d boxes, cycled as needed) under %s:\n", *profPath, prof.Len(), name)
-		fmt.Printf("boxes used=%d IOs=%d base-cases completed=%d\n",
-			len(st), paging.TotalIOs(st), paging.TotalLeaves(st))
+		fmt.Fprintf(stdout, "custom profile %s (%d boxes, cycled as needed) under %s:\n", *profPath, prof.Len(), name)
+		fmt.Fprintf(stdout, "boxes used=%d IOs=%d base-cases completed=%d\n",
+			tally.boxes, tally.ios, tally.leaves)
 		did = true
 	}
 	if !did {
 		return fmt.Errorf("nothing to do: pass -stats, -lru, -worstcase, or -profile")
 	}
 	return nil
+}
+
+// boxTally counts the boxes a profile replay closes, with their I/Os and
+// base cases, without keeping a per-box ledger.
+type boxTally struct{ boxes, ios, leaves int64 }
+
+func (t *boxTally) add(s paging.BoxStat) {
+	t.boxes++
+	t.ios += s.IOs
+	t.leaves += s.Leaves
 }

@@ -30,6 +30,7 @@ import (
 	"repro/internal/paging"
 	"repro/internal/profile"
 	"repro/internal/regular"
+	"repro/internal/trace"
 	"repro/internal/xrand"
 )
 
@@ -100,16 +101,24 @@ func MeasureSymbolicExec(e *regular.Exec, src profile.Source, maxBoxes int64) (R
 // so memory is O(n) (the residency set) rather than Θ(T(n)), and problem
 // sizes far beyond SyntheticTrace's materialization ceiling stream fine.
 func MeasureTrace(spec regular.Spec, n int64, src profile.Source, maxBoxes int64) (RunResult, error) {
-	q := paging.NewSquareStream(src, maxBoxes)
+	return MeasureEmit(spec, n, func(s trace.Sink) error { return regular.EmitSynthetic(spec, n, s) }, src, maxBoxes)
+}
+
+// MeasureEmit is MeasureTrace for any generator: emit streams a trace of
+// spec's execution on n blocks (block IDs in [0, n)) through the
+// square-semantics cache against boxes from src, and each box is folded
+// into the result as it closes.
+func MeasureEmit(spec regular.Spec, n int64, emit func(trace.Sink) error, src profile.Source, maxBoxes int64) (RunResult, error) {
+	f := newBoxFold(spec, n)
+	q := paging.NewSquareStream(src, maxBoxes, f.add)
 	q.Reserve(n - 1)
-	if err := regular.EmitSynthetic(spec, n, q); err != nil {
+	if err := emit(q); err != nil {
 		return RunResult{}, err
 	}
-	stats, err := q.Finish()
-	if err != nil {
+	if err := q.Finish(); err != nil {
 		return RunResult{}, err
 	}
-	return BoxStatsResult(spec, n, stats), nil
+	return f.res, nil
 }
 
 // MeasureTracePolicy is MeasureTrace generalised over the replacement
@@ -118,7 +127,8 @@ func MeasureTrace(spec regular.Spec, n int64, src profile.Source, maxBoxes int64
 // box profile driving its capacity, "opt" for the clairvoyant box replay,
 // or "square" (or "") for the cleared-cache square semantics, which routes
 // to MeasureTrace itself. "opt" needs the future, so its trace is
-// materialized (regular.SyntheticTrace's ceiling applies).
+// materialized (regular.SyntheticTrace's ceiling applies); callers that
+// replay one size many times build its plan once and use MeasureOPTPlan.
 func MeasureTracePolicy(spec regular.Spec, n int64, policy string, src profile.Source, maxBoxes int64) (RunResult, error) {
 	switch policy {
 	case "", paging.SquareReplayName:
@@ -128,40 +138,58 @@ func MeasureTracePolicy(spec regular.Spec, n int64, policy string, src profile.S
 		if err != nil {
 			return RunResult{}, err
 		}
-		stats, err := paging.OPTRunBoxes(tr, src, maxBoxes)
+		plan, err := paging.NewOPTPlan(tr)
 		if err != nil {
 			return RunResult{}, err
 		}
-		return BoxStatsResult(spec, n, stats), nil
+		return MeasureOPTPlan(spec, n, plan, src, maxBoxes)
 	}
 	p, err := paging.NewReplacementPolicy(policy, 1)
 	if err != nil {
 		return RunResult{}, fmt.Errorf("adaptivity: unknown replay policy %q (have %v)", policy, paging.ReplayNames())
 	}
-	q := paging.NewPolicyStream(p, src, maxBoxes)
+	f := newBoxFold(spec, n)
+	q := paging.NewPolicyStream(p, src, maxBoxes, f.add)
 	q.Reserve(n - 1)
 	if err := regular.EmitSynthetic(spec, n, q); err != nil {
 		return RunResult{}, err
 	}
-	stats, err := q.Finish()
-	if err != nil {
+	if err := q.Finish(); err != nil {
 		return RunResult{}, err
 	}
-	return BoxStatsResult(spec, n, stats), nil
+	return f.res, nil
 }
 
-// BoxStatsResult folds a trace replay's per-box ledger into a RunResult in
-// box order — the float accumulation order is part of the byte-identity
-// contract between the streamed and materialized replays.
-func BoxStatsResult(spec regular.Spec, n int64, stats []paging.BoxStat) RunResult {
-	res := RunResult{Spec: spec, N: n, Boxes: int64(len(stats))}
-	exp := spec.Exponent()
-	for _, s := range stats {
-		res.BoundedPotential += regular.BoundedPow(s.Size, n, exp)
-		res.Progress += s.Leaves
-		res.BoxSizeSum += s.Size
+// MeasureOPTPlan is MeasureTracePolicy's "opt" replay over a prebuilt plan
+// of spec's synthetic trace on n blocks. The plan is only read, so engine
+// cells may share one.
+func MeasureOPTPlan(spec regular.Spec, n int64, plan *paging.OPTPlan, src profile.Source, maxBoxes int64) (RunResult, error) {
+	f := newBoxFold(spec, n)
+	if err := plan.Run(src, maxBoxes, f.add); err != nil {
+		return RunResult{}, err
 	}
-	return res
+	return f.res, nil
+}
+
+// boxFold is Equation 2's running sum over a trace replay's boxes: each box
+// is added as it closes, in box order — the float accumulation order is
+// part of the byte-identity contract between the streamed and materialized
+// replays. The exponent is computed once per run.
+type boxFold struct {
+	res RunResult
+	exp float64
+}
+
+func newBoxFold(spec regular.Spec, n int64) *boxFold {
+	return &boxFold{res: RunResult{Spec: spec, N: n}, exp: spec.Exponent()}
+}
+
+// add folds one closed box into the result.
+func (f *boxFold) add(s paging.BoxStat) {
+	f.res.Boxes++
+	f.res.BoundedPotential += regular.BoundedPow(s.Size, f.res.N, f.exp)
+	f.res.Progress += s.Leaves
+	f.res.BoxSizeSum += s.Size
 }
 
 // GapOnProfile runs spec on n blocks against prof (cycled if the algorithm

@@ -80,16 +80,11 @@ func runA1(cfg Config) (*Table, error) {
 			if err != nil {
 				return 0, err
 			}
-			q := paging.NewSquareStream(src, 0)
-			q.Reserve(n - 1)
-			if err := emit(q); err != nil {
-				return 0, err
-			}
-			st, err := q.Finish()
+			res, err := adaptivity.MeasureEmit(spec, n, emit, src, 0)
 			if err != nil {
 				return 0, err
 			}
-			return adaptivity.BoxStatsResult(spec, n, st).Gap(), nil
+			return res.Gap(), nil
 		}
 
 		canon, err := gapOf(func(s trace.Sink) error {
@@ -266,16 +261,11 @@ func runA3(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			q := paging.NewSquareStream(src, 0)
-			q.Reserve(n - 1)
-			if err := regular.EmitSynthetic(spec, n, q); err != nil {
-				return nil, err
-			}
-			st, err := q.Finish()
+			res, err := adaptivity.MeasureTrace(spec, n, src, 0)
 			if err != nil {
 				return nil, err
 			}
-			gap := adaptivity.BoxStatsResult(spec, n, st).Gap()
+			gap := res.Gap()
 			t.AddRow(fmt.Sprintf("%.2f", c), k, n, gap)
 			ks = append(ks, float64(k))
 			gaps = append(gaps, gap)

@@ -58,6 +58,25 @@ func runE12(cfg Config) (*Table, error) {
 		Header: []string{"policy", "k", "n", "worst-case gap", "iid mean gap", "iid ci95"},
 	}
 
+	// "opt" replays the materialized synthetic trace: one read-only plan
+	// per size, shared by the worst-case run and every i.i.d. cell.
+	plans := make(map[int]*paging.OPTPlan, kMax-kMin+1)
+	for k := kMin; k <= kMax; k++ {
+		tr, err := regular.SyntheticTrace(spec, profile.Pow(4, k))
+		if err != nil {
+			return nil, err
+		}
+		if plans[k], err = paging.NewOPTPlan(tr); err != nil {
+			return nil, err
+		}
+	}
+	measure := func(pol string, k int, src profile.Source) (adaptivity.RunResult, error) {
+		if pol == paging.OPTReplayName {
+			return adaptivity.MeasureOPTPlan(spec, profile.Pow(4, k), plans[k], src, 0)
+		}
+		return adaptivity.MeasureTracePolicy(spec, profile.Pow(4, k), pol, src, 0)
+	}
+
 	// Worst-case part: M_{8,4}(n) replayed deterministically (cycled when a
 	// thrashing kernel needs more boxes than the profile holds) — serial,
 	// one run per (policy, size).
@@ -73,7 +92,7 @@ func runE12(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := adaptivity.MeasureTracePolicy(spec, profile.Pow(4, k), pol, src, 0)
+			res, err := measure(pol, k, src)
 			if err != nil {
 				return nil, fmt.Errorf("E12 %s k=%d: %w", pol, k, err)
 			}
@@ -107,7 +126,7 @@ func runE12(cfg Config) (*Table, error) {
 		c := cells[i]
 		rng := xrand.New(xrand.Split(cfg.Seed, "E12", int64(c.p), int64(c.k), int64(c.trial)))
 		src := profile.FuncSource(func() int64 { return dists[c.k].Sample(rng) })
-		res, err := adaptivity.MeasureTracePolicy(spec, profile.Pow(4, c.k), policies[c.p], src, 0)
+		res, err := measure(policies[c.p], c.k, src)
 		if err != nil {
 			return fmt.Errorf("E12 %s k=%d trial %d: %w", policies[c.p], c.k, c.trial, err)
 		}

@@ -195,10 +195,10 @@ func BenchmarkPolicyStreamReplay(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				q := NewPolicyStream(p, src, 0)
+				q := NewPolicyStream(p, src, 0, discardBox)
 				q.Reserve(tr.MaxBlock())
 				trace.Replay(tr, q)
-				if _, err := q.Finish(); err != nil {
+				if err := q.Finish(); err != nil {
 					b.Fatal(err)
 				}
 			})
@@ -215,10 +215,10 @@ func BenchmarkSquareStreamReplay(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		q := NewSquareStream(src, 0)
+		q := NewSquareStream(src, 0, discardBox)
 		q.Reserve(tr.MaxBlock())
 		trace.Replay(tr, q)
-		if _, err := q.Finish(); err != nil {
+		if err := q.Finish(); err != nil {
 			b.Fatal(err)
 		}
 	})

@@ -193,10 +193,10 @@ func TestSquareStreamEndLeafAfterInvalidBoxDoesNotPanic(t *testing.T) {
 	// A generator emits Access then EndLeaf; if the access was rejected
 	// (invalid first box), the marker has no box to credit and must be
 	// ignored, not panic with "EndLeaf before any access".
-	q := NewSquareStream(profile.FuncSource(func() int64 { return 0 }), 0)
+	q := NewSquareStream(profile.FuncSource(func() int64 { return 0 }), 0, discardBox)
 	q.Access(1)
 	q.EndLeaf() // must not panic
-	if _, err := q.Finish(); err == nil {
+	if err := q.Finish(); err == nil {
 		t.Fatal("expected invalid-box error")
 	}
 }
@@ -204,13 +204,13 @@ func TestSquareStreamEndLeafAfterInvalidBoxDoesNotPanic(t *testing.T) {
 func TestSquareStreamEndLeafAfterMaxBoxesDoesNotMutateClosedBox(t *testing.T) {
 	// maxBoxes trips when box 2 would open; the EndLeaf for the rejected
 	// access must neither panic nor retroactively credit box 1's ledger.
-	q := NewSquareStream(cycling(t, []int64{1}), 1)
+	var stats []BoxStat
+	q := NewSquareStream(cycling(t, []int64{1}), 1, func(s BoxStat) { stats = append(stats, s) })
 	q.Access(0)
 	q.EndLeaf()
 	q.Access(1) // needs a second box: exceeds maxBoxes
 	q.EndLeaf() // must not panic, must not touch the closed box
-	stats, err := q.Finish()
-	if err == nil {
+	if err := q.Finish(); err == nil {
 		t.Fatal("expected maxBoxes error")
 	}
 	if len(stats) != 1 || stats[0].Leaves != 1 {
@@ -224,7 +224,7 @@ func TestSquareStreamEndLeafBeforeAccessStillPanics(t *testing.T) {
 			t.Fatal("EndLeaf before any access on a healthy stream must panic")
 		}
 	}()
-	NewSquareStream(cycling(t, []int64{4}), 0).EndLeaf()
+	NewSquareStream(cycling(t, []int64{4}), 0, discardBox).EndLeaf()
 }
 
 // --- Early stop (regression) ------------------------------------------------

@@ -81,30 +81,14 @@ func RunOPTFixed(tr *trace.Trace, capacity int64) (int64, error) {
 	if n == 0 {
 		return 0, nil
 	}
-	if int64(n) >= 1<<31 || tr.MaxBlock() >= 1<<31 {
-		return 0, fmt.Errorf("paging: OPT index overflow (%d refs, max block %d)", n, tr.MaxBlock())
-	}
-
-	// nextUse[i] = next position after i referencing the same block; n if
-	// the block is never referenced again.
-	nextUse := make([]int32, n)
-	last := make([]int32, tr.MaxBlock()+1)
-	for i := range last {
-		last[i] = optNever
-	}
-	for i := n - 1; i >= 0; i-- {
-		blk := tr.Block(i)
-		if j := last[blk]; j != optNever {
-			nextUse[i] = j
-		} else {
-			nextUse[i] = int32(n)
-		}
-		last[blk] = int32(i)
+	nextUse, err := optNextUse(tr)
+	if err != nil {
+		return 0, err
 	}
 
 	// curNext[b] = the live heap key's nextUse for resident block b, or
 	// optNever when b is absent.
-	curNext := last // reuse the backing array; every entry is rewritten below
+	curNext := make([]int32, tr.MaxBlock()+1)
 	for i := range curNext {
 		curNext[i] = optNever
 	}

@@ -29,7 +29,7 @@ const (
 	// every policy.
 	SquareReplayName = "square"
 	// OPTReplayName selects Belady's farthest-in-future choice replayed
-	// under the box profile (OPTRunBoxes) — the clairvoyant baseline.
+	// under the box profile (OPTPlan.Run) — the clairvoyant baseline.
 	OPTReplayName = "opt"
 )
 
@@ -47,12 +47,14 @@ func ReplayNames() []string {
 // and grants a budget of X misses; the box ends when the budget is spent.
 // Unlike SquareStream the cache is never cleared — the kernel's state is
 // exactly what persists across profile changes. Feed it accesses (directly
-// or via trace.Replay), then call Finish for the per-box statistics.
+// or via trace.Replay), then call Finish to close the last box; each box is
+// handed to the onBox callback as it closes, as in SquareStream.
 type PolicyStream struct {
 	policy   ReplacementPolicy
 	src      profile.Source
 	maxBoxes int64
-	stats    []BoxStat
+	onBox    func(BoxStat)
+	boxes    int64 // boxes closed so far, for the maxBoxes guard
 	cur      BoxStat
 	started  bool
 	err      error
@@ -61,11 +63,11 @@ type PolicyStream struct {
 }
 
 // NewPolicyStream returns a stream replaying through policy against box
-// sizes from src; maxBoxes guards against pathological stalls (0 =
-// unbounded). The policy's starting capacity is irrelevant — the first box
-// resizes it.
-func NewPolicyStream(policy ReplacementPolicy, src profile.Source, maxBoxes int64) *PolicyStream {
-	return &PolicyStream{policy: policy, src: src, maxBoxes: maxBoxes}
+// sizes from src and passing each closed box to onBox; maxBoxes guards
+// against pathological stalls (0 = unbounded). The policy's starting
+// capacity is irrelevant — the first box resizes it.
+func NewPolicyStream(policy ReplacementPolicy, src profile.Source, maxBoxes int64, onBox func(BoxStat)) *PolicyStream {
+	return &PolicyStream{policy: policy, src: src, maxBoxes: maxBoxes, onBox: onBox}
 }
 
 // Reserve pre-sizes the kernel's dense indexes for block IDs up to maxBlock.
@@ -111,8 +113,9 @@ func (q *PolicyStream) Access(block int64) {
 	// Miss: needs an I/O from the current box's budget.
 	if q.cur.IOs == q.cur.Size {
 		// Budget exhausted: this reference belongs to the next box.
-		q.stats = append(q.stats, q.cur)
-		if q.maxBoxes > 0 && int64(len(q.stats)) >= q.maxBoxes {
+		q.onBox(q.cur)
+		q.boxes++
+		if q.maxBoxes > 0 && q.boxes >= q.maxBoxes {
 			//lint:ignore hotpath error path: the box guard tripping ends the run
 			q.err = fmt.Errorf("paging: run exceeded %d boxes", q.maxBoxes)
 			q.started = false
@@ -156,19 +159,19 @@ func (q *PolicyStream) EndLeaf() {
 // stop feeding a stream that discards everything anyway.
 func (q *PolicyStream) Stopped() bool { return q.err != nil }
 
-// Finish closes the final (typically partial) box and returns the per-box
-// statistics, or the first error the stream hit. An untouched stream
-// returns (nil, nil), matching SquareStream.
-func (q *PolicyStream) Finish() ([]BoxStat, error) {
+// Finish closes the final (typically partial) box, passing it to onBox, or
+// returns the first error the stream hit. An untouched stream closes no
+// box, matching SquareStream.
+func (q *PolicyStream) Finish() error {
 	if q.err != nil {
-		return q.stats, q.err
+		return q.err
 	}
 	if !q.started {
-		return nil, nil
+		return nil
 	}
 	q.started = false
-	q.stats = append(q.stats, q.cur)
-	return q.stats, nil
+	q.onBox(q.cur)
+	return nil
 }
 
 var (
@@ -176,25 +179,34 @@ var (
 	_ trace.Stopper = (*PolicyStream)(nil)
 )
 
-// PolicyRun replays tr under the box profile src by name: a registered
-// kernel streams through PolicyStream, "square" selects the cleared-cache
-// square semantics, and "opt" the clairvoyant box replay. Unknown names
-// error with every accepted name listed.
+// PolicyRun replays tr under the box profile src by name and returns the
+// per-box ledger: a registered kernel streams through PolicyStream,
+// "square" selects the cleared-cache square semantics, and "opt" the
+// clairvoyant box replay. Unknown names error with every accepted name
+// listed. On error the ledger holds the boxes closed before it.
 func PolicyRun(name string, tr *trace.Trace, src profile.Source, maxBoxes int64) ([]BoxStat, error) {
+	var stats []BoxStat
+	collect := func(s BoxStat) { stats = append(stats, s) }
 	switch name {
 	case SquareReplayName:
 		return SquareRun(tr, src, maxBoxes)
 	case OPTReplayName:
-		return OPTRunBoxes(tr, src, maxBoxes)
+		plan, err := NewOPTPlan(tr)
+		if err != nil {
+			return nil, err
+		}
+		err = plan.Run(src, maxBoxes, collect)
+		return stats, err
 	}
 	p, err := NewReplacementPolicy(name, 1)
 	if err != nil {
 		return nil, fmt.Errorf("paging: unknown replay policy %q (have %v)", name, ReplayNames())
 	}
-	q := NewPolicyStream(p, src, maxBoxes)
+	q := NewPolicyStream(p, src, maxBoxes, collect)
 	q.Reserve(tr.MaxBlock())
 	trace.Replay(tr, q)
-	return q.Finish()
+	err = q.Finish() // closes the last box: read stats after it
+	return stats, err
 }
 
 // RunPolicyFixed replays tr at a fixed capacity by name — a registered

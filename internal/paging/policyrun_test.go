@@ -1,10 +1,13 @@
 package paging
 
 import (
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/profile"
+	"repro/internal/trace"
 	"repro/internal/xrand"
 )
 
@@ -178,16 +181,20 @@ func TestPolicyRunUnknownName(t *testing.T) {
 	}
 }
 
-// TestOPTRunBoxesNeverWorseThanKernels: under a constant profile the
+// TestOPTPlanNeverWorseThanKernels: under a constant profile the
 // clairvoyant replay is the true fixed-capacity OPT, so no kernel may beat
 // it.
-func TestOPTRunBoxesNeverWorseThanKernels(t *testing.T) {
+func TestOPTPlanNeverWorseThanKernels(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		src := xrand.New(xrand.Split(55, "optboxes-floor", int64(trial)))
 		tr := localTrace(src, 700, 1+src.Int63n(48))
+		plan, err := NewOPTPlan(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, m := range []int64{2, 5, 13} {
-			opt, err := PolicyRun(OPTReplayName, tr, constSource{m}, 0)
-			if err != nil {
+			var opt []BoxStat
+			if err := plan.Run(constSource{m}, 0, func(s BoxStat) { opt = append(opt, s) }); err != nil {
 				t.Fatal(err)
 			}
 			for _, name := range PolicyNames() {
@@ -200,6 +207,110 @@ func TestOPTRunBoxesNeverWorseThanKernels(t *testing.T) {
 						trial, m, totalIOs(opt), name, totalIOs(on))
 				}
 			}
+		}
+	}
+}
+
+// leafTrace is a random trace with base-case markers after about a fifth
+// of its references, some of them doubled (EndLeaf is idempotent per
+// access).
+func leafTrace(src *xrand.Source, n int, universe int64) *trace.Trace {
+	var b trace.Builder
+	for i := 0; i < n; i++ {
+		b.Access(src.Int63n(universe))
+		if src.Float64() < 0.2 {
+			b.EndLeaf()
+			if src.Float64() < 0.3 {
+				b.EndLeaf()
+			}
+		}
+	}
+	return b.Build()
+}
+
+// randomBoxes is a source over a random profile of sizes in [1, maxSize].
+func randomBoxes(t *testing.T, src *xrand.Source, n int, maxSize int64) *profile.BoxesSource {
+	t.Helper()
+	boxes := make([]int64, n)
+	for i := range boxes {
+		boxes[i] = 1 + src.Int63n(maxSize)
+	}
+	bs, err := profile.NewBoxesSource(boxes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bs
+}
+
+// TestPolicyRunCreditsEveryLeaf: every replay serves every reference once
+// and credits every base case to exactly one box, so the ledger's Σ Refs
+// and Σ Leaves are the trace's own counts — whatever the policy and the
+// profile.
+func TestPolicyRunCreditsEveryLeaf(t *testing.T) {
+	for trial := 0; trial < 20; trial++ {
+		src := xrand.New(xrand.Split(56, "policyrun-leaves", int64(trial)))
+		tr := leafTrace(src, 50+src.Intn(700), 1+src.Int63n(64))
+		boxSeed := src.Uint64()
+		for _, name := range ReplayNames() {
+			stats, err := PolicyRun(name, tr, randomBoxes(t, xrand.New(boxSeed), 1+src.Intn(40), 24), 0)
+			if err != nil {
+				t.Fatalf("trial %d, %s: %v", trial, name, err)
+			}
+			var leaves, refs int64
+			for _, s := range stats {
+				leaves += s.Leaves
+				refs += s.Refs
+			}
+			if leaves != tr.Leaves() || refs != int64(tr.Len()) {
+				t.Fatalf("trial %d, %s: ledger credits %d leaves and %d refs, trace has %d and %d",
+					trial, name, leaves, refs, tr.Leaves(), tr.Len())
+			}
+		}
+	}
+}
+
+// TestOPTPlanSharedAcrossGoroutines runs one plan from several goroutines
+// at once, each against its own profile, and requires every ledger to equal
+// a run of a freshly built plan. Run under -race this also checks that Run
+// never writes the shared plan.
+func TestOPTPlanSharedAcrossGoroutines(t *testing.T) {
+	src := xrand.New(xrand.Split(57, "optplan-shared", 0))
+	tr := leafTrace(src, 3000, 96)
+	shared, err := NewOPTPlan(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 6
+	seeds := make([]uint64, runs)
+	for i := range seeds {
+		seeds[i] = src.Uint64()
+	}
+	got := make([][]BoxStat, runs)
+	errs := make([]error, runs)
+	var wg sync.WaitGroup
+	for i := 0; i < runs; i++ {
+		boxes := randomBoxes(t, xrand.New(seeds[i]), 64, 40)
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = shared.Run(boxes, 0, func(s BoxStat) { got[i] = append(got[i], s) })
+		}(i)
+	}
+	wg.Wait()
+	for i := 0; i < runs; i++ {
+		if errs[i] != nil {
+			t.Fatalf("run %d: %v", i, errs[i])
+		}
+		fresh, err := NewOPTPlan(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []BoxStat
+		if err := fresh.Run(randomBoxes(t, xrand.New(seeds[i]), 64, 40), 0, func(s BoxStat) { want = append(want, s) }); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got[i], want) {
+			t.Fatalf("run %d on the shared plan: %d boxes %v, fresh plan %d boxes %v", i, len(got[i]), got[i], len(want), want)
 		}
 	}
 }

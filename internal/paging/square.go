@@ -35,16 +35,19 @@ type BoxStat struct {
 // SquareRun replays tr against boxes drawn from src under the CA model's
 // square semantics and returns per-box statistics. The run ends when the
 // trace is exhausted; the final box is typically partial. maxBoxes guards
-// against pathological stalls (0 = unbounded).
+// against pathological stalls (0 = unbounded). On error the ledger holds
+// the boxes closed before it.
 //
 // It is a materialized-trace wrapper around SquareStream (stream.go); the
 // two paths share one implementation, so streamed runs are byte-identical
 // to materialized ones.
 func SquareRun(tr *trace.Trace, src profile.Source, maxBoxes int64) ([]BoxStat, error) {
-	q := NewSquareStream(src, maxBoxes)
+	var stats []BoxStat
+	q := NewSquareStream(src, maxBoxes, func(s BoxStat) { stats = append(stats, s) })
 	q.Reserve(tr.MaxBlock())
 	trace.Replay(tr, q)
-	return q.Finish()
+	err := q.Finish() // closes the last box: read stats after it
+	return stats, err
 }
 
 // SquareRunFrom replays the suffix of tr starting at reference startIdx

@@ -10,22 +10,24 @@ import (
 // This file is the streaming half of the square-profile substrate: the
 // same CA-model semantics as SquareRun/SquareRunFrom, exposed as
 // trace.Sink consumers so generators can replay directly into them without
-// materializing the trace. SquareRun and SquareRunFrom (square.go) are
-// reimplemented as thin wrappers that trace.Replay into these sinks, so
-// the materialized and streaming paths share one implementation and cannot
-// drift — which is what keeps streamed experiment tables byte-identical to
-// materialized ones.
+// materializing the trace or a per-box ledger. SquareRun and SquareRunFrom
+// (square.go) are reimplemented as thin wrappers that trace.Replay into
+// these sinks, so the materialized and streaming paths share one
+// implementation and cannot drift — which is what keeps streamed
+// experiment tables byte-identical to materialized ones.
 
 // SquareStream consumes a reference stream under square semantics against
 // boxes drawn from a profile source. Feed it accesses (directly or via
-// trace.Replay), then call Finish for the per-box statistics. Memory is
-// O(max block ID), independent of stream length.
+// trace.Replay), then call Finish to close the last box. Each box is handed
+// to the onBox callback as it closes, in box order, and is not kept: memory
+// is O(max block ID), independent of stream length and box count.
 type SquareStream struct {
 	src      profile.Source
 	maxBoxes int64
+	onBox    func(BoxStat)
+	boxes    int64   // boxes closed so far, for the maxBoxes guard
 	resident []int64 // epoch-stamped residency: resident[b] == epoch means cached
 	epoch    int64
-	stats    []BoxStat
 	cur      BoxStat
 	started  bool
 	err      error
@@ -33,10 +35,11 @@ type SquareStream struct {
 	refs     int64 // total refs across all boxes, for markedAt
 }
 
-// NewSquareStream returns a stream drawing box sizes from src; maxBoxes
-// guards against pathological stalls (0 = unbounded).
-func NewSquareStream(src profile.Source, maxBoxes int64) *SquareStream {
-	return &SquareStream{src: src, maxBoxes: maxBoxes}
+// NewSquareStream returns a stream drawing box sizes from src and passing
+// each closed box to onBox; maxBoxes guards against pathological stalls
+// (0 = unbounded).
+func NewSquareStream(src profile.Source, maxBoxes int64, onBox func(BoxStat)) *SquareStream {
+	return &SquareStream{src: src, maxBoxes: maxBoxes, onBox: onBox}
 }
 
 // Reserve pre-sizes the residency array for block IDs up to maxBlock.
@@ -65,8 +68,9 @@ func (q *SquareStream) Access(block int64) {
 		// Miss: needs an I/O from the current box's budget.
 		if q.cur.IOs == q.cur.Size {
 			// Budget exhausted: this reference belongs to the next box.
-			q.stats = append(q.stats, q.cur)
-			if q.maxBoxes > 0 && int64(len(q.stats)) >= q.maxBoxes {
+			q.onBox(q.cur)
+			q.boxes++
+			if q.maxBoxes > 0 && q.boxes >= q.maxBoxes {
 				//lint:ignore hotpath error path: the box guard tripping ends the run
 				q.err = fmt.Errorf("paging: run exceeded %d boxes", q.maxBoxes)
 				q.started = false
@@ -121,19 +125,19 @@ func (q *SquareStream) EndLeaf() {
 // and generators stop feeding a stream that discards everything anyway.
 func (q *SquareStream) Stopped() bool { return q.err != nil }
 
-// Finish closes the final (typically partial) box and returns the per-box
-// statistics, or the first error the stream hit. An untouched stream
-// returns (nil, nil), matching SquareRun on an empty trace.
-func (q *SquareStream) Finish() ([]BoxStat, error) {
+// Finish closes the final (typically partial) box, passing it to onBox, or
+// returns the first error the stream hit. An untouched stream closes no
+// box, matching SquareRun on an empty trace.
+func (q *SquareStream) Finish() error {
 	if q.err != nil {
-		return q.stats, q.err
+		return q.err
 	}
 	if !q.started {
-		return nil, nil
+		return nil
 	}
 	q.started = false
-	q.stats = append(q.stats, q.cur)
-	return q.stats, nil
+	q.onBox(q.cur)
+	return nil
 }
 
 func (q *SquareStream) ensure(block int64) {

@@ -180,12 +180,13 @@ type SliceSource struct {
 }
 
 // NewSliceSource returns a Source cycling over p's boxes. p must be
-// non-empty.
+// non-empty. The source reads p's own box slice rather than a copy: a
+// SquareProfile is never mutated after it is built.
 func NewSliceSource(p *SquareProfile) (*SliceSource, error) {
 	if p.Len() == 0 {
 		return nil, fmt.Errorf("profile: cannot stream an empty profile")
 	}
-	return &SliceSource{boxes: p.Boxes()}, nil
+	return &SliceSource{boxes: p.boxes}, nil
 }
 
 // Next returns the next box, cycling back to the start at the end.

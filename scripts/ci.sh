@@ -66,14 +66,16 @@ go test -race -short \
 
 echo "== go test -race (policy registry + adaptive kernels) =="
 # The ReplacementPolicy registry end to end: ARC/2Q differential oracles,
-# the live-kernel box replay (PolicyStream/PolicyRun/OPTRunBoxes), the
-# registry-name plumbing through MeasureTracePolicy, the reference
-# conformance suite over every registered policy, and the one-pass LRU/OPT
-# stack curves against the per-capacity kernels.
+# the live-kernel box replay (PolicyStream/PolicyRun and the OPT plan,
+# including one OPTPlan run from several goroutines at once), the
+# registry-name plumbing through MeasureTracePolicy, the streamed box fold
+# against a fold of the per-box ledger, the reference conformance suite
+# over every registered policy, and the one-pass LRU/OPT stack curves
+# against the per-capacity kernels.
 go test -race -short \
     ./internal/paging/ \
     ./internal/adaptivity/ \
-    -run 'TestARC|Test2Q|TestTwoQ|TestPolicy|TestOPTRunBoxes|TestMeasureTracePolicy|TestStackCurve' \
+    -run 'TestARC|Test2Q|TestTwoQ|TestPolicy|TestOPTPlan|TestMeasureTracePolicy|TestFoldMatchesLedger|TestStackCurve' \
     -count=1
 
 echo "== go test -race (square replay) =="
