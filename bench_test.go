@@ -244,7 +244,10 @@ func BenchmarkSquareStreamEmit(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		q := paging.NewSquareStream(src, 0, func(paging.BoxStat) {})
+		q, err := paging.NewBoxReplay(paging.SquareReplayName, nil, src, 0, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		q.Reserve(n - 1)
 		if err := regular.EmitSynthetic(spec, n, q); err != nil {
 			b.Fatal(err)
@@ -293,7 +296,7 @@ func BenchmarkLRU(b *testing.B) {
 	b.SetBytes(int64(tr.Len()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := paging.RunLRUFixed(tr, 128); err != nil {
+		if _, err := paging.RunPolicyFixed("lru", tr, 128); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -470,7 +473,7 @@ func BenchmarkFIFO(b *testing.B) {
 	b.SetBytes(int64(tr.Len()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := paging.RunFIFOFixed(tr, 128); err != nil {
+		if _, err := paging.RunPolicyFixed("fifo", tr, 128); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -485,7 +488,7 @@ func BenchmarkOPT(b *testing.B) {
 	b.SetBytes(int64(tr.Len()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := paging.RunOPTFixed(tr, 128); err != nil {
+		if _, err := paging.RunPolicyFixed(paging.OPTReplayName, tr, 128); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/dp"
@@ -100,8 +101,7 @@ func run(args []string, stdout io.Writer) (retErr error) {
 	}
 
 	// Validate -policy up front so a typo fails before any trace is built.
-	if *policy != "" && !paging.HasPolicy(*policy) &&
-		*policy != paging.SquareReplayName && *policy != paging.OPTReplayName {
+	if *policy != "" && !slices.Contains(paging.ReplayNames(), *policy) {
 		return fmt.Errorf("-policy %q is not an accepted replay policy (have %v)", *policy, paging.ReplayNames())
 	}
 
@@ -192,23 +192,19 @@ func run(args []string, stdout io.Writer) (retErr error) {
 			return err
 		}
 		var misses int64
-		if name == paging.OPTReplayName {
-			if tr == nil {
-				return fmt.Errorf("-policy opt needs the full trace for the next-use precomputation; drop -stream")
-			}
-			misses, err = paging.RunOPTFixed(tr, *lru)
-			if err != nil {
+		if tr != nil {
+			if misses, err = paging.RunPolicyFixed(name, tr, *lru); err != nil {
 				return err
 			}
 		} else {
+			if paging.NeedsPlan(name) {
+				return fmt.Errorf("-policy %s needs the full trace for the next-use precomputation; drop -stream", name)
+			}
 			p, err := paging.NewReplacementPolicy(name, *lru)
 			if err != nil {
 				return err
 			}
-			if tr != nil {
-				p.Reserve(tr.MaxBlock())
-				trace.Replay(tr, paging.CacheSink{Cache: p})
-			} else if err := emit(paging.CacheSink{Cache: p}); err != nil {
+			if err := emit(paging.CacheSink{Cache: p}); err != nil {
 				return err
 			}
 			misses = p.Misses()
@@ -220,7 +216,7 @@ func run(args []string, stdout io.Writer) (retErr error) {
 			if tr == nil {
 				return fmt.Errorf("-opt needs the full trace for the next-use precomputation; drop -stream")
 			}
-			om, err := paging.RunOPTFixed(tr, *lru)
+			om, err := paging.RunPolicyFixed(paging.OPTReplayName, tr, *lru)
 			if err != nil {
 				return err
 			}
@@ -291,44 +287,30 @@ func run(args []string, stdout io.Writer) (retErr error) {
 		if name == "" {
 			name = paging.SquareReplayName
 		}
-		var tally boxTally
-		if name == paging.OPTReplayName {
+		var plan *paging.OPTPlan
+		if paging.NeedsPlan(name) {
 			if tr == nil {
-				return fmt.Errorf("-policy opt needs the full trace for the next-use precomputation; drop -stream")
+				return fmt.Errorf("-policy %s needs the full trace for the next-use precomputation; drop -stream", name)
 			}
-			plan, err := paging.NewOPTPlan(tr)
-			if err != nil {
+			if plan, err = paging.NewOPTPlan(tr); err != nil {
 				return err
 			}
-			if err := plan.Run(src, 0, tally.add); err != nil {
-				return err
-			}
-		} else {
-			_, _, maxBlock, err := measure()
-			if err != nil {
-				return err
-			}
-			var q interface {
-				trace.Sink
-				Reserve(maxBlock int64)
-				Finish() error
-			}
-			if name == paging.SquareReplayName {
-				q = paging.NewSquareStream(src, 0, tally.add)
-			} else {
-				p, err := paging.NewReplacementPolicy(name, 1)
-				if err != nil {
-					return err
-				}
-				q = paging.NewPolicyStream(p, src, 0, tally.add)
-			}
-			q.Reserve(maxBlock)
-			if err := replay(q); err != nil {
-				return err
-			}
-			if err := q.Finish(); err != nil {
-				return err
-			}
+		}
+		var tally boxTally
+		q, err := paging.NewBoxReplay(name, plan, src, 0, tally.add)
+		if err != nil {
+			return err
+		}
+		_, _, maxBlock, err := measure()
+		if err != nil {
+			return err
+		}
+		q.Reserve(maxBlock)
+		if err := replay(q); err != nil {
+			return err
+		}
+		if err := q.Finish(); err != nil {
+			return err
 		}
 		fmt.Fprintf(stdout, "custom profile %s (%d boxes, cycled as needed) under %s:\n", *profPath, prof.Len(), name)
 		fmt.Fprintf(stdout, "boxes used=%d IOs=%d base-cases completed=%d\n",

@@ -109,63 +109,55 @@ func MeasureTrace(spec regular.Spec, n int64, src profile.Source, maxBoxes int64
 // square-semantics cache against boxes from src, and each box is folded
 // into the result as it closes.
 func MeasureEmit(spec regular.Spec, n int64, emit func(trace.Sink) error, src profile.Source, maxBoxes int64) (RunResult, error) {
-	f := newBoxFold(spec, n)
-	q := paging.NewSquareStream(src, maxBoxes, f.add)
-	q.Reserve(n - 1)
-	if err := emit(q); err != nil {
-		return RunResult{}, err
-	}
-	if err := q.Finish(); err != nil {
-		return RunResult{}, err
-	}
-	return f.res, nil
+	return measureReplay(spec, n, paging.SquareReplayName, nil, emit, src, maxBoxes)
 }
 
-// MeasureTracePolicy is MeasureTrace generalised over the replacement
-// policy: the canonical synthetic trace for spec streams through the named
-// replay — a registered kernel (paging.PolicyNames) replayed live with the
-// box profile driving its capacity, "opt" for the clairvoyant box replay,
-// or "square" (or "") for the cleared-cache square semantics, which routes
-// to MeasureTrace itself. "opt" needs the future, so its trace is
-// materialized (regular.SyntheticTrace's ceiling applies); callers that
-// replay one size many times build its plan once and use MeasureOPTPlan.
-func MeasureTracePolicy(spec regular.Spec, n int64, policy string, src profile.Source, maxBoxes int64) (RunResult, error) {
-	switch policy {
-	case "", paging.SquareReplayName:
-		return MeasureTrace(spec, n, src, maxBoxes)
-	case paging.OPTReplayName:
+// MeasureTracePolicy is MeasureTrace generalised over the replay: the
+// canonical synthetic trace for spec streams through the named box replay
+// (paging.ReplayNames) — a registered kernel replayed live with the box
+// profile driving its capacity, "opt" for the clairvoyant box replay, or
+// "square" (or "") for the cleared-cache square semantics of MeasureTrace
+// itself. plan, if non-nil, is the paging.OPTPlan of that trace: every
+// replay is then fed the plan's materialized trace instead of generating
+// it again, and the plan is only read, so engine cells may share one.
+// "opt" needs a plan; given nil it materializes the trace and builds one
+// (regular.SyntheticTrace's ceiling applies).
+func MeasureTracePolicy(spec regular.Spec, n int64, policy string, plan *paging.OPTPlan, src profile.Source, maxBoxes int64) (RunResult, error) {
+	if policy == "" {
+		policy = paging.SquareReplayName
+	}
+	if plan == nil && paging.NeedsPlan(policy) {
 		tr, err := regular.SyntheticTrace(spec, n)
 		if err != nil {
 			return RunResult{}, err
 		}
-		plan, err := paging.NewOPTPlan(tr)
-		if err != nil {
+		if plan, err = paging.NewOPTPlan(tr); err != nil {
 			return RunResult{}, err
 		}
-		return MeasureOPTPlan(spec, n, plan, src, maxBoxes)
 	}
-	p, err := paging.NewReplacementPolicy(policy, 1)
-	if err != nil {
-		return RunResult{}, fmt.Errorf("adaptivity: unknown replay policy %q (have %v)", policy, paging.ReplayNames())
+	emit := func(s trace.Sink) error { return regular.EmitSynthetic(spec, n, s) }
+	if plan != nil {
+		emit = func(s trace.Sink) error {
+			trace.Replay(plan.Trace(), s)
+			return nil
+		}
 	}
-	f := newBoxFold(spec, n)
-	q := paging.NewPolicyStream(p, src, maxBoxes, f.add)
-	q.Reserve(n - 1)
-	if err := regular.EmitSynthetic(spec, n, q); err != nil {
-		return RunResult{}, err
-	}
-	if err := q.Finish(); err != nil {
-		return RunResult{}, err
-	}
-	return f.res, nil
+	return measureReplay(spec, n, policy, plan, emit, src, maxBoxes)
 }
 
-// MeasureOPTPlan is MeasureTracePolicy's "opt" replay over a prebuilt plan
-// of spec's synthetic trace on n blocks. The plan is only read, so engine
-// cells may share one.
-func MeasureOPTPlan(spec regular.Spec, n int64, plan *paging.OPTPlan, src profile.Source, maxBoxes int64) (RunResult, error) {
+// measureReplay streams emit through the named box replay against boxes
+// from src, folding each box into the result as it closes.
+func measureReplay(spec regular.Spec, n int64, policy string, plan *paging.OPTPlan, emit func(trace.Sink) error, src profile.Source, maxBoxes int64) (RunResult, error) {
 	f := newBoxFold(spec, n)
-	if err := plan.Run(src, maxBoxes, f.add); err != nil {
+	d, err := paging.NewBoxReplay(policy, plan, src, maxBoxes, f.add)
+	if err != nil {
+		return RunResult{}, err
+	}
+	d.Reserve(n - 1)
+	if err := emit(d); err != nil {
+		return RunResult{}, err
+	}
+	if err := d.Finish(); err != nil {
 		return RunResult{}, err
 	}
 	return f.res, nil

@@ -96,7 +96,7 @@ func TestMeasureTracePolicySquareRouting(t *testing.T) {
 	}
 	for _, name := range []string{"square", ""} {
 		src2, _ := profile.NewSliceSource(wc)
-		got, err := MeasureTracePolicy(spec, n, name, src2, 0)
+		got, err := MeasureTracePolicy(spec, n, name, nil, src2, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +114,7 @@ func TestMeasureTracePolicyFullBoxes(t *testing.T) {
 	n := int64(256)
 	for _, name := range []string{"lru", "fifo", "arc", "2q", "opt"} {
 		src, _ := profile.NewSliceSource(profile.MustNew([]int64{n}))
-		res, err := MeasureTracePolicy(spec, n, name, src, 0)
+		res, err := MeasureTracePolicy(spec, n, name, nil, src, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -129,7 +129,7 @@ func TestMeasureTracePolicyFullBoxes(t *testing.T) {
 
 func TestMeasureTracePolicyUnknownName(t *testing.T) {
 	src, _ := profile.NewSliceSource(profile.MustNew([]int64{8}))
-	_, err := MeasureTracePolicy(regular.MMScanSpec, 64, "belady-crystal-ball", src, 0)
+	_, err := MeasureTracePolicy(regular.MMScanSpec, 64, "belady-crystal-ball", nil, src, 0)
 	if err == nil {
 		t.Fatal("unknown policy name accepted")
 	}

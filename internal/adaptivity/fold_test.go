@@ -7,6 +7,7 @@ import (
 	"repro/internal/paging"
 	"repro/internal/profile"
 	"repro/internal/regular"
+	"repro/internal/trace"
 	"repro/internal/xrand"
 )
 
@@ -29,10 +30,10 @@ func sameResult(got, want RunResult) bool {
 }
 
 // TestFoldMatchesLedger: for every replay name, folding boxes as they close
-// (MeasureTracePolicy, and MeasureOPTPlan over a shared plan) gives exactly
-// the result of folding PolicyRun's ledger of the materialized trace —
-// against the worst-case profile and against i.i.d. boxes from its own
-// size distribution, for MM-Scan at k = 3..5.
+// (MeasureTracePolicy, generating the trace or over a shared plan) gives
+// exactly the result of folding the box replay's ledger of the
+// materialized trace — against the worst-case profile and against i.i.d.
+// boxes from its own size distribution, for MM-Scan at k = 3..5.
 func TestFoldMatchesLedger(t *testing.T) {
 	spec := regular.MMScanSpec
 	for k := 3; k <= 5; k++ {
@@ -68,27 +69,29 @@ func TestFoldMatchesLedger(t *testing.T) {
 		}
 		for srcName, newSrc := range sources {
 			for _, name := range paging.ReplayNames() {
-				stats, err := paging.PolicyRun(name, tr, newSrc(), 0)
+				var stats []paging.BoxStat
+				d, err := paging.NewBoxReplay(name, plan, newSrc(), 0, func(s paging.BoxStat) { stats = append(stats, s) })
 				if err != nil {
 					t.Fatal(err)
 				}
+				trace.Replay(tr, d)
+				if err := d.Finish(); err != nil {
+					t.Fatal(err)
+				}
 				want := ledgerFold(spec, n, stats)
-				got, err := MeasureTracePolicy(spec, n, name, newSrc(), 0)
+				got, err := MeasureTracePolicy(spec, n, name, nil, newSrc(), 0)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !sameResult(got, want) {
 					t.Errorf("k=%d %s %s: fold %+v, ledger %+v", k, srcName, name, got, want)
 				}
-				if name != paging.OPTReplayName {
-					continue
-				}
-				got, err = MeasureOPTPlan(spec, n, plan, newSrc(), 0)
+				got, err = MeasureTracePolicy(spec, n, name, plan, newSrc(), 0)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !sameResult(got, want) {
-					t.Errorf("k=%d %s: shared-plan fold %+v, ledger %+v", k, srcName, got, want)
+					t.Errorf("k=%d %s %s: shared-plan fold %+v, ledger %+v", k, srcName, name, got, want)
 				}
 			}
 		}
@@ -116,7 +119,7 @@ func TestMeasureAllocsIndependentOfBoxCount(t *testing.T) {
 			var src profile.Source = constSource{size} // box the source outside the measurement
 			return testing.AllocsPerRun(3, func() {
 				var err error
-				if *res, err = MeasureTracePolicy(spec, n, name, src, 0); err != nil {
+				if *res, err = MeasureTracePolicy(spec, n, name, nil, src, 0); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -84,7 +84,7 @@ func runA5(cfg Config) (*Table, error) {
 		}
 		const reps = 8
 		// Stream the fresh-data repetitions straight into the square
-		// finisher for each profile — the repeated trace is never built.
+		// replay for each profile — the repeated trace is never built.
 		endOrdered, err := servedRepeat(tr, wc, reps)
 		if err != nil {
 			return nil, err

@@ -71,10 +71,7 @@ func runE12(cfg Config) (*Table, error) {
 		}
 	}
 	measure := func(pol string, k int, src profile.Source) (adaptivity.RunResult, error) {
-		if pol == paging.OPTReplayName {
-			return adaptivity.MeasureOPTPlan(spec, profile.Pow(4, k), plans[k], src, 0)
-		}
-		return adaptivity.MeasureTracePolicy(spec, profile.Pow(4, k), pol, src, 0)
+		return adaptivity.MeasureTracePolicy(spec, profile.Pow(4, k), pol, plans[k], src, 0)
 	}
 
 	// Worst-case part: M_{8,4}(n) replayed deterministically (cycled when a

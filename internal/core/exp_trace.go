@@ -110,7 +110,7 @@ func runE9(cfg Config) (*Table, error) {
 }
 
 // servedRepeat counts the references reps fresh-data repetitions of tr
-// serve within the boxes of p, under finisher semantics.
+// serve within the boxes of p, under square semantics.
 func servedRepeat(tr *trace.Trace, p *profile.SquareProfile, reps int) (int64, error) {
 	src, err := profile.NewSliceSource(p)
 	if err != nil {
@@ -128,8 +128,8 @@ func runE10(cfg Config) (*Table, error) {
 	trials := cfg.Trials * 100
 	// Derive every trial's inputs serially — the RNG call order is part of
 	// the determinism contract — then evaluate the trials on the engine
-	// pool. Each start-pair replay halts at the finisher's served boundary
-	// (the Stopper early stop), so a trial costs O(references served), not
+	// pool. Each start-pair replay halts where its boxes run out (the
+	// Stopper early stop), so a trial costs O(references served), not
 	// O(trace suffix).
 	type e10Trial struct {
 		tr        *trace.Trace
@@ -205,11 +205,11 @@ func runE11(cfg Config) (*Table, error) {
 	}
 	var logM, logMiss []float64
 	for _, m := range []int64{16, 32, 64, 128, 256, 512, 1024} {
-		lru, err := paging.RunLRUFixed(tr, m)
+		lru, err := paging.RunPolicyFixed("lru", tr, m)
 		if err != nil {
 			return nil, err
 		}
-		opt, err := paging.RunOPTFixed(tr, m)
+		opt, err := paging.RunPolicyFixed(paging.OPTReplayName, tr, m)
 		if err != nil {
 			return nil, err
 		}

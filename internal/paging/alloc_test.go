@@ -3,6 +3,7 @@ package paging
 import (
 	"testing"
 
+	"repro/internal/trace"
 	"repro/internal/xrand"
 )
 
@@ -103,18 +104,18 @@ func TestTwoQZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestSquareStreamBoundedState: the streaming square consumer's state
-// depends on the block universe, not the stream length — feeding 10× more
-// references of the same working set must not grow residency state.
+// TestSquareStreamBoundedState: the square replay's state depends on the
+// block universe, not the stream length — feeding 10× more references of
+// the same working set must not grow residency state.
 func TestSquareStreamBoundedState(t *testing.T) {
 	src := xrand.New(xrand.Split(50, "alloc-square", 0))
 	tr := localTrace(src, 1000, 64)
-	q := NewSquareStream(constSource{8}, 0, discardBox)
-	q.Reserve(tr.MaxBlock())
+	d := newBoxReplay(nil, constSource{8}, 0, discardBox)
+	d.Reserve(tr.MaxBlock())
 	for i := 0; i < tr.Len(); i++ {
-		q.Access(tr.Block(i))
+		d.Access(tr.Block(i))
 	}
-	if got := int64(len(q.resident)); got != tr.MaxBlock()+1 {
+	if got := int64(len(d.resident)); got != tr.MaxBlock()+1 {
 		t.Fatalf("residency state %d entries, want %d (max block + 1)", got, tr.MaxBlock()+1)
 	}
 }
@@ -159,73 +160,113 @@ func TestOptHeapZeroAllocSteadyState(t *testing.T) {
 }
 
 // TestSquareStreamZeroAllocSteadyState: with the residency array reserved
-// and a box large enough to never close, serving references allocates
-// nothing. (Closing a box appends a BoxStat — amortised by box, not by
-// reference — so the steady state within a box is the hot path.)
+// and a box large enough to never close, serving references under square
+// semantics allocates nothing. (Closing a box only calls onBox, so a run
+// that closes many boxes allocates nothing either.)
 //
-// allocguard:SquareStream.Access
+// allocguard:BoxReplay.Access
 func TestSquareStreamZeroAllocSteadyState(t *testing.T) {
 	src := xrand.New(xrand.Split(50, "alloc-squarestream", 0))
 	tr := localTrace(src, 2000, 128)
-	q := NewSquareStream(constSource{1 << 40}, 0, discardBox)
-	q.Reserve(tr.MaxBlock())
-	q.Access(tr.Block(0)) // open the one huge box
+	d := newBoxReplay(nil, constSource{1 << 40}, 0, discardBox)
+	d.Reserve(tr.MaxBlock())
+	d.Access(tr.Block(0)) // open the one huge box
 	avg := testing.AllocsPerRun(10, func() {
 		for i := 0; i < tr.Len(); i++ {
-			q.Access(tr.Block(i))
+			d.Access(tr.Block(i))
 		}
 	})
 	if avg != 0 {
-		t.Fatalf("SquareStream steady-state replay allocates %.1f times per run, want 0", avg)
+		t.Fatalf("square replay steady state allocates %.1f times per run, want 0", avg)
 	}
 }
 
-// TestSquareFinisherZeroAllocSteadyState: same shape as the stream — one
-// huge box, reserved residency, zero allocations per reference.
+// TestSquareFinisherZeroAllocSteadyState: the served-count shape
+// ServedRepeat drives — one huge box opened up front, a box limit, reserved
+// residency and a fresh-data epoch bump per repetition — allocates nothing
+// per reference.
 //
-// allocguard:SquareFinisher.Access
+// allocguard:BoxReplay.Access
 func TestSquareFinisherZeroAllocSteadyState(t *testing.T) {
 	src := xrand.New(xrand.Split(50, "alloc-squarefin", 0))
 	tr := localTrace(src, 2000, 128)
-	f := NewSquareFinisher([]int64{1 << 40})
-	f.Reserve(tr.MaxBlock())
+	d := finisher(constSource{1 << 40}, 1)
+	d.Reserve(tr.MaxBlock())
 	avg := testing.AllocsPerRun(10, func() {
+		d.epoch++
 		for i := 0; i < tr.Len(); i++ {
-			f.Access(tr.Block(i))
+			d.Access(tr.Block(i))
 		}
 	})
 	if avg != 0 {
-		t.Fatalf("SquareFinisher steady-state replay allocates %.1f times per run, want 0", avg)
+		t.Fatalf("finisher steady state allocates %.1f times per run, want 0", avg)
 	}
 }
 
 // TestPolicyStreamZeroAllocSteadyState: with the kernel reserved and a box
-// large enough to never close, serving references through the live-policy
-// box replay allocates nothing. (Closing a box only calls onBox, so a run
-// that closes many boxes allocates nothing either.)
+// large enough to never close, serving references through the live-kernel
+// box replay allocates nothing.
 //
-// allocguard:PolicyStream.Access
+// allocguard:BoxReplay.Access
 func TestPolicyStreamZeroAllocSteadyState(t *testing.T) {
 	src := xrand.New(xrand.Split(50, "alloc-policystream", 0))
 	tr := localTrace(src, 2000, 128)
 	for _, name := range PolicyNames() {
-		p, err := NewReplacementPolicy(name, 1)
+		d, err := NewBoxReplay(name, nil, constSource{1 << 40}, 0, discardBox)
 		if err != nil {
 			t.Fatal(err)
 		}
-		q := NewPolicyStream(p, constSource{1 << 40}, 0, discardBox)
-		q.Reserve(tr.MaxBlock())
+		d.Reserve(tr.MaxBlock())
 		for i := 0; i < tr.Len(); i++ {
-			q.Access(tr.Block(i))
+			d.Access(tr.Block(i))
 		}
 		avg := testing.AllocsPerRun(10, func() {
 			for i := 0; i < tr.Len(); i++ {
-				q.Access(tr.Block(i))
+				d.Access(tr.Block(i))
 			}
 		})
 		if avg != 0 {
-			t.Fatalf("%s PolicyStream steady-state replay allocates %.1f times per run, want 0", name, avg)
+			t.Fatalf("%s box replay steady state allocates %.1f times per run, want 0", name, avg)
 		}
+	}
+}
+
+// TestOPTReplayZeroAllocSteadyState: an OPT box replay allocates its
+// residency array and heap when it starts, and nothing per reference: the
+// heap's capacity is the plan's length. The plan repeats a base trace so
+// each measured run feeds the cursor the next copy, at a capacity small
+// enough to evict.
+//
+// allocguard:optCursor.Access
+func TestOPTReplayZeroAllocSteadyState(t *testing.T) {
+	src := xrand.New(xrand.Split(50, "alloc-optcursor", 0))
+	base := localTrace(src, 2000, 128)
+	const copies = 12 // AllocsPerRun(10, ...) makes one warm-up call and 10 measured ones
+	var b trace.Builder
+	for r := 0; r < copies; r++ {
+		trace.Replay(base, &b)
+	}
+	plan, err := NewOPTPlan(b.Build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewBoxReplay(OPTReplayName, plan, constSource{32}, 0, discardBox)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Access(base.Block(0)) // open the first box
+	fed := 1
+	avg := testing.AllocsPerRun(10, func() {
+		for i := fed; i < base.Len(); i++ {
+			d.Access(base.Block(i))
+		}
+		fed = 0
+	})
+	if avg != 0 {
+		t.Fatalf("OPT box replay steady state allocates %.1f times per run, want 0", avg)
+	}
+	if err := d.Finish(); err != nil {
+		t.Fatal(err)
 	}
 }
 

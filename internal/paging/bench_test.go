@@ -110,7 +110,7 @@ func BenchmarkFIFOReplayOracle(b *testing.B) {
 func BenchmarkOPTReplayKernel(b *testing.B) {
 	tr := benchTrace(b)
 	perAccess(b, tr.Len(), func() {
-		if _, err := RunOPTFixed(tr, benchCapacity); err != nil {
+		if _, err := RunPolicyFixed(OPTReplayName, tr, benchCapacity); err != nil {
 			b.Fatal(err)
 		}
 	})
@@ -187,18 +187,17 @@ func BenchmarkPolicyStreamReplay(b *testing.B) {
 	for _, name := range PolicyNames() {
 		b.Run(name, func(b *testing.B) {
 			perAccess(b, tr.Len(), func() {
-				p, err := NewReplacementPolicy(name, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
 				src, err := profile.NewSliceSource(profile.MustNew([]int64{64}))
 				if err != nil {
 					b.Fatal(err)
 				}
-				q := NewPolicyStream(p, src, 0, discardBox)
-				q.Reserve(tr.MaxBlock())
-				trace.Replay(tr, q)
-				if err := q.Finish(); err != nil {
+				d, err := NewBoxReplay(name, nil, src, 0, discardBox)
+				if err != nil {
+					b.Fatal(err)
+				}
+				d.Reserve(tr.MaxBlock())
+				trace.Replay(tr, d)
+				if err := d.Finish(); err != nil {
 					b.Fatal(err)
 				}
 			})
@@ -215,18 +214,21 @@ func BenchmarkSquareStreamReplay(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		q := NewSquareStream(src, 0, discardBox)
-		q.Reserve(tr.MaxBlock())
-		trace.Replay(tr, q)
-		if err := q.Finish(); err != nil {
+		d, err := NewBoxReplay(SquareReplayName, nil, src, 0, discardBox)
+		if err != nil {
+			b.Fatal(err)
+		}
+		d.Reserve(tr.MaxBlock())
+		trace.Replay(tr, d)
+		if err := d.Finish(); err != nil {
 			b.Fatal(err)
 		}
 	})
 }
 
 // BenchmarkServedRepeat is E9's repeated replay at dim 256: MM-Scan
-// re-emitted on fresh data 12 times into the finisher over its streamed
-// worst-case profile. It reports references served per second.
+// re-emitted on fresh data 12 times into the square replay over its
+// streamed worst-case profile. It reports references served per second.
 //
 //	go test ./internal/paging -run=NONE -bench=ServedRepeat
 func BenchmarkServedRepeat(b *testing.B) {

@@ -19,8 +19,8 @@ import (
 // at depth hi is exact for every capacity <= hi; a block found below it
 // counts as a miss at every capacity in the curve, like a cold reference.
 //
-// The curves share no code with the per-capacity kernels (LRU, RunOPTFixed),
-// which is what lets E13 use each as a check on the other.
+// The curves share no code with the per-capacity kernels (LRU, the OPT
+// cursor), which is what lets E13 use each as a check on the other.
 
 // IsStackPolicy reports whether name is a replay with the inclusion
 // property — "lru" or "opt" — whose fault curve is therefore monotone in

@@ -1,10 +1,6 @@
 package paging
 
-import (
-	"fmt"
-
-	"repro/internal/trace"
-)
+import "fmt"
 
 // FIFO is a first-in-first-out page cache with dynamically adjustable
 // capacity — the other classical marking-free policy, included so the
@@ -201,18 +197,4 @@ func (f *FIFO) evict() {
 	f.resident[f.ring[f.ringHead]] = false
 	f.ringHead = (f.ringHead + 1) % len(f.ring)
 	f.size--
-}
-
-// RunFIFOFixed replays tr through a FIFO of fixed capacity and returns the
-// miss count.
-func RunFIFOFixed(tr *trace.Trace, capacity int64) (int64, error) {
-	f, err := NewFIFO(capacity)
-	if err != nil {
-		return 0, err
-	}
-	f.Reserve(tr.MaxBlock())
-	for i := 0; i < tr.Len(); i++ {
-		f.Access(tr.Block(i))
-	}
-	return f.Misses(), nil
 }

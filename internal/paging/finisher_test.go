@@ -23,7 +23,7 @@ func cycling(t testing.TB, boxes []int64) *profile.BoxesSource {
 }
 
 // cycleBoxes materializes the first n boxes of the cycled sequence, for
-// slice-backed SquareFinisher baselines.
+// slice-backed finisher baselines.
 func cycleBoxes(boxes []int64, n int64) []int64 {
 	out := make([]int64, n)
 	for i := range out {
@@ -40,14 +40,28 @@ func replayOf(tr *trace.Trace) func(trace.Sink) error {
 	}
 }
 
+// finisher is the square replay in the shape SquareRunFrom and
+// ServedRepeat drive it: at most nBoxes boxes from src, the first one
+// opened — and validated — before any access.
+func finisher(src profile.Source, nBoxes int64) *BoxReplay {
+	d := newBoxReplay(nil, src, nBoxes, nil)
+	d.openBox()
+	return d
+}
+
+// sliceFinisher is a finisher over exactly the given boxes.
+func sliceFinisher(t testing.TB, boxes []int64) *BoxReplay {
+	return finisher(cycling(t, boxes), int64(len(boxes)))
+}
+
 // shiftedServed is ServedRepeat's reference: the repetitions relocated to
 // fresh address ranges (stride MaxBlock()+1) and replayed into a finisher
 // over the materialized boxes.
-func shiftedServed(tr *trace.Trace, boxes []int64, nBoxes int64, reps int) (int64, error) {
-	f := NewSquareFinisher(cycleBoxes(boxes, nBoxes))
+func shiftedServed(t testing.TB, tr *trace.Trace, boxes []int64, nBoxes int64, reps int) (int64, error) {
+	f := sliceFinisher(t, cycleBoxes(boxes, nBoxes))
 	f.Reserve(tr.MaxBlock())
 	trace.ReplayRepeat(tr, f, reps, tr.MaxBlock()+1)
-	return f.Served(), f.Err()
+	return f.served()
 }
 
 // sameOutcome fails unless two (served, error) pairs agree exactly,
@@ -74,7 +88,7 @@ func TestServedRepeatMatchesShiftedReplay(t *testing.T) {
 		}
 		nBoxes := 1 + rng.Int63n(200)
 		reps := 1 + rng.Intn(6)
-		want, wantErr := shiftedServed(tr, boxes, nBoxes, reps)
+		want, wantErr := shiftedServed(t, tr, boxes, nBoxes, reps)
 		got, err := ServedRepeat(replayOf(tr), tr.MaxBlock(), cycling(t, boxes), nBoxes, reps)
 		sameOutcome(t, "ServedRepeat", got, want, err, wantErr)
 	}
@@ -100,7 +114,7 @@ func TestServedEmitRepeatParallelMatchesSerial(t *testing.T) {
 		}
 		nBoxes := 1 + rng.Int63n(200)
 		reps := 1 + rng.Intn(6)
-		want, wantErr := shiftedServed(tr, boxes, nBoxes, reps)
+		want, wantErr := shiftedServed(t, tr, boxes, nBoxes, reps)
 		for _, shards := range []int{1, 2, 8} {
 			got, err := ServedEmitRepeatParallel(replayOf(tr), int64(tr.Len()), tr.MaxBlock(),
 				cycling(t, boxes), nBoxes, reps, tr.MaxBlock()+1, shards)
@@ -131,11 +145,11 @@ func TestDefaultShardsStaysSerialWithoutIdleWorkers(t *testing.T) {
 	}
 }
 
-// --- SquareFinisher ---------------------------------------------------------
+// --- Finisher ---------------------------------------------------------------
 
 func TestSquareFinisherSourceMatchesSlice(t *testing.T) {
-	// A finisher pulling boxes from a source serves exactly what one over
-	// the materialized box slice serves.
+	// A finisher pulling boxes from a cycling source serves exactly what one
+	// over the materialized box slice serves.
 	rng := xrand.New(0x5e1)
 	for trial := 0; trial < 40; trial++ {
 		tr := randomTrace(rng, 20+rng.Intn(600), 1+rng.Int63n(32))
@@ -144,21 +158,21 @@ func TestSquareFinisherSourceMatchesSlice(t *testing.T) {
 			boxes[i] = 1 + rng.Int63n(10)
 		}
 		nBoxes := 1 + rng.Int63n(60)
-		mat := NewSquareFinisher(cycleBoxes(boxes, nBoxes))
-		str := newSquareFinisher(cycling(t, boxes), nBoxes)
+		mat := sliceFinisher(t, cycleBoxes(boxes, nBoxes))
+		str := finisher(cycling(t, boxes), nBoxes)
 		trace.ReplayRepeat(tr, mat, 3, tr.MaxBlock()+1)
 		trace.ReplayRepeat(tr, str, 3, tr.MaxBlock()+1)
-		if str.Served() != mat.Served() || str.Stopped() != mat.Stopped() {
+		if str.refs != mat.refs || str.Stopped() != mat.Stopped() {
 			t.Fatalf("trial %d: source-fed (served %d, stopped %v) != slice-fed (served %d, stopped %v)",
-				trial, str.Served(), str.Stopped(), mat.Served(), mat.Stopped())
+				trial, str.refs, str.Stopped(), mat.refs, mat.Stopped())
 		}
 	}
 }
 
 func TestSquareFinisherErrorParity(t *testing.T) {
 	// An invalid first box is reported before any access; a later one when
-	// the stream reaches it. The slice-fed finisher, the source-fed one and
-	// ServedRepeat must agree on the served count and the error text.
+	// the stream reaches it. The finisher, SquareRunFrom and ServedRepeat
+	// must agree on the served count and the error text.
 	tr := buildTrace([]int64{0, 1, 2, 3, 4, 5}, nil)
 	for _, c := range []struct {
 		boxes      []int64
@@ -168,32 +182,36 @@ func TestSquareFinisherErrorParity(t *testing.T) {
 		{[]int64{0}, true, 0},
 		{[]int64{3, -1}, false, 3},
 	} {
-		mat := NewSquareFinisher(c.boxes)
-		str := newSquareFinisher(cycling(t, c.boxes), int64(len(c.boxes)))
-		if (mat.Err() != nil) != c.eager || (str.Err() != nil) != c.eager {
-			t.Fatalf("boxes %v: eager error %v / %v, want present=%v", c.boxes, mat.Err(), str.Err(), c.eager)
+		f := sliceFinisher(t, c.boxes)
+		if f.Stopped() != c.eager {
+			t.Fatalf("boxes %v: eager error %v, want present=%v", c.boxes, f.err, c.eager)
 		}
-		trace.Replay(tr, mat)
-		trace.Replay(tr, str)
-		if mat.Err() == nil {
+		trace.Replay(tr, f)
+		want, wantErr := f.served()
+		if wantErr == nil {
 			t.Fatalf("boxes %v: invalid box not reported", c.boxes)
 		}
-		sameOutcome(t, "source-fed finisher", str.Served(), mat.Served(), str.Err(), mat.Err())
 		served, err := ServedRepeat(replayOf(tr), tr.MaxBlock(), cycling(t, c.boxes), int64(len(c.boxes)), 2)
-		sameOutcome(t, "ServedRepeat", served, mat.Served(), err, mat.Err())
-		if mat.Served() != c.wantServed {
-			t.Fatalf("boxes %v: served %d before the invalid box, want %d", c.boxes, mat.Served(), c.wantServed)
+		sameOutcome(t, "ServedRepeat", served, want, err, wantErr)
+		if _, err := SquareRunFrom(tr, 0, c.boxes); err == nil || err.Error() != wantErr.Error() {
+			t.Fatalf("boxes %v: SquareRunFrom error %v, want %v", c.boxes, err, wantErr)
+		}
+		if want != c.wantServed {
+			t.Fatalf("boxes %v: served %d before the invalid box, want %d", c.boxes, want, c.wantServed)
 		}
 	}
 }
 
 // --- EndLeaf after error (regression) ---------------------------------------
+//
+// These pin the square replay; TestBoxReplayEdgeCases holds every replay
+// name to the same cases.
 
 func TestSquareStreamEndLeafAfterInvalidBoxDoesNotPanic(t *testing.T) {
 	// A generator emits Access then EndLeaf; if the access was rejected
 	// (invalid first box), the marker has no box to credit and must be
 	// ignored, not panic with "EndLeaf before any access".
-	q := NewSquareStream(profile.FuncSource(func() int64 { return 0 }), 0, discardBox)
+	q := newBoxReplay(nil, profile.FuncSource(func() int64 { return 0 }), 0, discardBox)
 	q.Access(1)
 	q.EndLeaf() // must not panic
 	if err := q.Finish(); err == nil {
@@ -205,7 +223,7 @@ func TestSquareStreamEndLeafAfterMaxBoxesDoesNotMutateClosedBox(t *testing.T) {
 	// maxBoxes trips when box 2 would open; the EndLeaf for the rejected
 	// access must neither panic nor retroactively credit box 1's ledger.
 	var stats []BoxStat
-	q := NewSquareStream(cycling(t, []int64{1}), 1, func(s BoxStat) { stats = append(stats, s) })
+	q := newBoxReplay(nil, cycling(t, []int64{1}), 1, func(s BoxStat) { stats = append(stats, s) })
 	q.Access(0)
 	q.EndLeaf()
 	q.Access(1) // needs a second box: exceeds maxBoxes
@@ -224,7 +242,7 @@ func TestSquareStreamEndLeafBeforeAccessStillPanics(t *testing.T) {
 			t.Fatal("EndLeaf before any access on a healthy stream must panic")
 		}
 	}()
-	NewSquareStream(cycling(t, []int64{4}), 0, discardBox).EndLeaf()
+	newBoxReplay(nil, cycling(t, []int64{4}), 0, discardBox).EndLeaf()
 }
 
 // --- Early stop (regression) ------------------------------------------------
@@ -232,13 +250,13 @@ func TestSquareStreamEndLeafBeforeAccessStillPanics(t *testing.T) {
 // countingFinisher counts how many accesses a replay actually delivers to
 // the wrapped finisher, delegating the Stopper signal.
 type countingFinisher struct {
-	*SquareFinisher
+	*BoxReplay
 	delivered int
 }
 
 func (c *countingFinisher) Access(block int64) {
 	c.delivered++
-	c.SquareFinisher.Access(block)
+	c.BoxReplay.Access(block)
 }
 
 func (c *countingFinisher) AccessRange(lo, count int64) {
@@ -256,13 +274,13 @@ func TestReplayRangeHaltsAtFinisherBoundary(t *testing.T) {
 		b.Access(int64(i))
 	}
 	tr := b.Build()
-	f := &countingFinisher{SquareFinisher: NewSquareFinisher([]int64{3})}
+	f := &countingFinisher{BoxReplay: sliceFinisher(t, []int64{3})}
 	trace.ReplayRange(tr, f, 0, tr.Len())
-	if !f.Done() {
-		t.Fatal("finisher should have exhausted its boxes")
+	if !errors.Is(f.err, errBoxLimit) {
+		t.Fatalf("finisher stopped with %v, want its boxes exhausted", f.err)
 	}
-	if f.delivered > int(f.Served())+2 {
-		t.Fatalf("replay delivered %d references past a boundary at %d", f.delivered, f.Served())
+	if f.delivered > int(f.refs)+2 {
+		t.Fatalf("replay delivered %d references past a boundary at %d", f.delivered, f.refs)
 	}
 }
 
@@ -272,18 +290,18 @@ func TestReplayRepeatHaltsAtFinisherBoundary(t *testing.T) {
 		b.Access(int64(i))
 	}
 	tr := b.Build()
-	f := &countingFinisher{SquareFinisher: NewSquareFinisher([]int64{5})}
+	f := &countingFinisher{BoxReplay: sliceFinisher(t, []int64{5})}
 	trace.ReplayRepeat(tr, f, 50, tr.MaxBlock()+1)
-	if f.delivered > int(f.Served())+2 {
-		t.Fatalf("repeat replay delivered %d references past a boundary at %d", f.delivered, f.Served())
+	if f.delivered > int(f.refs)+2 {
+		t.Fatalf("repeat replay delivered %d references past a boundary at %d", f.delivered, f.refs)
 	}
 }
 
 // --- Fuzz -------------------------------------------------------------------
 
 // FuzzServedRepeatMatchesShiftedReplay checks ServedRepeat's epoch bump
-// against the address-shifted reference (NewSquareFinisher +
-// trace.ReplayRepeat at stride MaxBlock()+1) on three workloads per input:
+// against the address-shifted reference (a finisher over the materialized
+// boxes + trace.ReplayRepeat at stride MaxBlock()+1) on three workloads per input:
 // a random trace over a cycled profile (boxes often run out
 // mid-repetition), the same with one box made invalid, and MM-InPlace at
 // dim 32, whose emitter uses AccessRange. The corpus inputs parameterize
@@ -310,13 +328,13 @@ func FuzzServedRepeatMatchesShiftedReplay(f *testing.F) {
 			boxes[i] = 1 + rng.Int63n(maxBox)
 		}
 
-		want, wantErr := shiftedServed(tr, boxes, nBoxes, reps)
+		want, wantErr := shiftedServed(t, tr, boxes, nBoxes, reps)
 		got, err := ServedRepeat(replayOf(tr), tr.MaxBlock(), cycling(t, boxes), nBoxes, reps)
 		sameOutcome(t, "random trace", got, want, err, wantErr)
 
 		bad := append([]int64(nil), boxes...)
 		bad[rng.Intn(len(bad))] = -rng.Int63n(2) // 0 or -1
-		want, wantErr = shiftedServed(tr, bad, nBoxes, reps)
+		want, wantErr = shiftedServed(t, tr, bad, nBoxes, reps)
 		got, err = ServedRepeat(replayOf(tr), tr.MaxBlock(), cycling(t, bad), nBoxes, reps)
 		sameOutcome(t, "invalid box", got, want, err, wantErr)
 
@@ -325,7 +343,7 @@ func FuzzServedRepeatMatchesShiftedReplay(f *testing.F) {
 		for i, b := range boxes {
 			big[i] = b * 16
 		}
-		want, wantErr = shiftedServed(inplaceTr, big, nBoxes, reps)
+		want, wantErr = shiftedServed(t, inplaceTr, big, nBoxes, reps)
 		got, err = ServedRepeat(emitInPlace, inplaceTr.MaxBlock(), cycling(t, big), nBoxes, reps)
 		sameOutcome(t, "MM-InPlace dim 32", got, want, err, wantErr)
 	})

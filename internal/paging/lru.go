@@ -223,20 +223,6 @@ func (l *LRU) Remove(block int64) bool {
 	return true
 }
 
-// RunLRUFixed replays tr through an LRU of fixed capacity and returns the
-// miss count — the DAM-model I/O cost of the trace.
-func RunLRUFixed(tr *trace.Trace, capacity int64) (int64, error) {
-	l, err := NewLRU(capacity)
-	if err != nil {
-		return 0, err
-	}
-	l.Reserve(tr.MaxBlock())
-	for i := 0; i < tr.Len(); i++ {
-		l.Access(tr.Block(i))
-	}
-	return l.Misses(), nil
-}
-
 // RunLRUProfile replays tr through an LRU whose capacity follows the raw
 // memory profile m: the cache has capacity m[t] while serving the t-th miss
 // (I/O); time — and hence the profile index — advances only on misses, as

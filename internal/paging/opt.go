@@ -6,11 +6,11 @@ import (
 	"repro/internal/trace"
 )
 
-// This file implements Belady's OPT (farthest-in-future) replacement for a
-// fixed-size cache. OPT gives the offline-optimal miss count, which the
-// DAM-validation experiment uses to confirm that LRU's constant factor on
-// our traces is benign (the classical 2-competitiveness with capacity
-// augmentation shows up clearly).
+// This file implements Belady's OPT (farthest-in-future) replacement as a
+// box-replay kernel. OPT gives the offline-optimal miss count at a fixed
+// capacity, which the DAM-validation experiment uses to confirm that LRU's
+// constant factor on our traces is benign, and under a box profile it is
+// the clairvoyant baseline of the adaptivity-gap-by-policy experiment.
 //
 // Next-use positions are precomputed in a single backward pass over the
 // trace using a dense last-seen array, and the farthest-in-future choice is
@@ -26,6 +26,150 @@ import (
 // optNever marks "no further use"; as a next-use position it sorts after
 // every real index.
 const optNever = int32(-1)
+
+// OPTPlan is the clairvoyant replay's precomputation: a trace and its
+// next-use table, built once in one backward pass. A BoxReplay named "opt"
+// (or RunPolicyFixed) replays it through a per-run cursor.
+//
+// With a *changing* capacity, greedy farthest-in-future is a natural
+// baseline rather than a provably optimal schedule — Belady's exchange
+// argument needs a fixed capacity. Every online policy still replays
+// against strictly less information, so the baseline is an honest floor in
+// practice on the repository's traces.
+//
+// A plan is never written after NewOPTPlan: each run keeps its state in
+// its own cursor, so one plan may be replayed from any number of
+// goroutines at once, each against its own box source.
+type OPTPlan struct {
+	tr *trace.Trace
+	// keys[i] is reference i's heap key: the position of the block's next
+	// reference (tr.Len() if none) in the high 32 bits, the block in the
+	// low 32.
+	keys []uint64
+}
+
+// NewOPTPlan precomputes tr's next-use table. The trace must not be
+// mutated while the plan is in use.
+func NewOPTPlan(tr *trace.Trace) (*OPTPlan, error) {
+	n := tr.Len()
+	if int64(n) >= 1<<31 || tr.MaxBlock() >= 1<<31 {
+		return nil, fmt.Errorf("paging: OPT index overflow (%d refs, max block %d)", n, tr.MaxBlock())
+	}
+	keys := make([]uint64, n)
+	last := make([]int32, tr.MaxBlock()+1)
+	for i := range last {
+		last[i] = int32(n)
+	}
+	for i := n - 1; i >= 0; i-- {
+		blk := tr.Block(i)
+		keys[i] = uint64(last[blk])<<32 | uint64(blk)
+		last[blk] = int32(i)
+	}
+	return &OPTPlan{tr: tr, keys: keys}, nil
+}
+
+// Trace returns the trace the plan was built from.
+func (p *OPTPlan) Trace() *trace.Trace { return p.tr }
+
+// optCursor is one run of an OPTPlan: Belady's choice at a capacity the
+// driver may change between references. It must be fed the plan's trace in
+// order, one Access per position, and panics on anything else — its
+// next-use keys would be wrong. Lowering the capacity evicts the overflow
+// at once; because a box only opens on a miss, that is the same victim
+// sequence as evicting down to the new capacity on the miss itself.
+type optCursor struct {
+	plan     *OPTPlan
+	curNext  []int32 // live heap key's nextUse for resident block b; optNever when absent
+	h        optHeap
+	pos      int // the next plan position to be fed
+	size     int64
+	capacity int64
+	misses   int64
+}
+
+// cursor starts a run of the plan. The heap is allocated at the trace's
+// length, which bounds its population (one push per reference), so a run
+// makes the same two allocations whatever its box count.
+func (p *OPTPlan) cursor() *optCursor {
+	curNext := make([]int32, p.tr.MaxBlock()+1)
+	for i := range curNext {
+		curNext[i] = optNever
+	}
+	return &optCursor{plan: p, curNext: curNext, h: make(optHeap, 0, p.tr.Len())}
+}
+
+// Contains reports whether block is resident.
+func (c *optCursor) Contains(block int64) bool {
+	return block >= 0 && block < int64(len(c.curNext)) && c.curNext[block] != optNever
+}
+
+// Access serves the plan's next reference, which must be block, evicting
+// the farthest-next-use resident block on a miss at capacity. Either way
+// the block's next-use key is refreshed.
+//
+//lint:hotpath
+func (c *optCursor) Access(block int64) bool {
+	keys := c.plan.keys
+	if c.pos == len(keys) || int64(uint32(keys[c.pos])) != block {
+		c.diverged(block)
+	}
+	key := keys[c.pos]
+	c.pos++
+	hit := c.curNext[block] != optNever
+	if !hit {
+		c.misses++
+		if c.size >= c.capacity {
+			c.evict()
+		}
+		c.size++
+	}
+	c.curNext[block] = int32(key >> 32)
+	c.h.push(key)
+	return hit
+}
+
+// diverged panics: the fed stream is not the plan's trace.
+func (c *optCursor) diverged(block int64) {
+	if c.pos == len(c.plan.keys) {
+		//lint:ignore hotpath panic path: the run is a caller bug, one allocation to say why is fine
+		panic(fmt.Sprintf("paging: OPT replay fed block %d past the end of its %d-reference plan", block, c.pos))
+	}
+	//lint:ignore hotpath panic path: the run is a caller bug, one allocation to say why is fine
+	panic(fmt.Sprintf("paging: OPT replay fed block %d at reference %d, where its plan has block %d", block, c.pos, c.plan.tr.Block(c.pos)))
+}
+
+// evict drops the resident block with the farthest next use, skipping
+// stale heap entries.
+func (c *optCursor) evict() {
+	for {
+		top := c.h.pop()
+		b := int64(uint32(top))
+		if c.curNext[b] == int32(top>>32) {
+			c.curNext[b] = optNever
+			c.size--
+			return
+		}
+	}
+}
+
+// SetCapacity resizes the cache, evicting farthest-next-use blocks if it
+// shrank.
+func (c *optCursor) SetCapacity(capacity int64) error {
+	if capacity < 1 {
+		return fmt.Errorf("paging: OPT capacity %d < 1", capacity)
+	}
+	c.capacity = capacity
+	for c.size > capacity {
+		c.evict()
+	}
+	return nil
+}
+
+// Reserve is a no-op: the plan fixes the block universe.
+func (c *optCursor) Reserve(int64) {}
+
+// Misses reports the number of accesses that required a fetch.
+func (c *optCursor) Misses() int64 { return c.misses }
 
 // optHeap is a max-heap of packed (nextUse<<32 | block) keys.
 type optHeap []uint64
@@ -69,61 +213,4 @@ func (h *optHeap) pop() uint64 {
 		i = big
 	}
 	return top
-}
-
-// RunOPTFixed replays tr through Belady's optimal policy with a fixed
-// capacity and returns the miss count.
-func RunOPTFixed(tr *trace.Trace, capacity int64) (int64, error) {
-	if capacity < 1 {
-		return 0, fmt.Errorf("paging: OPT capacity %d < 1", capacity)
-	}
-	n := tr.Len()
-	if n == 0 {
-		return 0, nil
-	}
-	nextUse, err := optNextUse(tr)
-	if err != nil {
-		return 0, err
-	}
-
-	// curNext[b] = the live heap key's nextUse for resident block b, or
-	// optNever when b is absent.
-	curNext := make([]int32, tr.MaxBlock()+1)
-	for i := range curNext {
-		curNext[i] = optNever
-	}
-	var h optHeap
-	var size, misses int64
-	for i := 0; i < n; i++ {
-		blk := tr.Block(i)
-		nu := nextUse[i]
-		key := uint64(uint32(nu))<<32 | uint64(uint32(blk))
-		if curNext[blk] != optNever {
-			curNext[blk] = nu
-			h.push(key)
-			continue
-		}
-		misses++
-		if size >= capacity {
-			// Evict the resident block with the farthest valid next use,
-			// skipping stale heap entries.
-			for {
-				if len(h) == 0 {
-					return 0, fmt.Errorf("paging: OPT heap exhausted with %d resident", size)
-				}
-				top := h.pop()
-				b := int64(uint32(top))
-				if curNext[b] != int32(top>>32) {
-					continue // stale entry
-				}
-				curNext[b] = optNever
-				size--
-				break
-			}
-		}
-		curNext[blk] = nu
-		size++
-		h.push(key)
-	}
-	return misses, nil
 }

@@ -269,7 +269,7 @@ func TestRunLRUFixedSequentialScan(t *testing.T) {
 	b := &trace.Builder{}
 	b.AccessRange(0, 100)
 	tr := b.Build()
-	misses, err := RunLRUFixed(tr, 10)
+	misses, err := RunPolicyFixed("lru", tr, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,12 +285,12 @@ func TestRunLRUFixedLoopFitsCache(t *testing.T) {
 		b.AccessRange(0, 8)
 	}
 	tr := b.Build()
-	misses, _ := RunLRUFixed(tr, 8)
+	misses, _ := RunPolicyFixed("lru", tr, 8)
 	if misses != 8 {
 		t.Errorf("fitting loop misses = %d, want 8", misses)
 	}
 	// With capacity 4, LRU thrashes: every access misses.
-	misses, _ = RunLRUFixed(tr, 4)
+	misses, _ = RunPolicyFixed("lru", tr, 4)
 	if misses != 80 {
 		t.Errorf("thrashing loop misses = %d, want 80", misses)
 	}
@@ -323,7 +323,7 @@ func TestRunLRUProfile(t *testing.T) {
 // --- OPT ---------------------------------------------------------------------
 
 func TestOPTValidation(t *testing.T) {
-	if _, err := RunOPTFixed((&trace.Builder{}).Build(), 0); err == nil {
+	if _, err := RunPolicyFixed(OPTReplayName, (&trace.Builder{}).Build(), 0); err == nil {
 		t.Error("capacity 0 accepted")
 	}
 }
@@ -336,8 +336,8 @@ func TestOPTBeatsLRUOnLoop(t *testing.T) {
 		b.AccessRange(0, 5)
 	}
 	tr := b.Build()
-	lru, _ := RunLRUFixed(tr, 4)
-	opt, err := RunOPTFixed(tr, 4)
+	lru, _ := RunPolicyFixed("lru", tr, 4)
+	opt, err := RunPolicyFixed(OPTReplayName, tr, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,8 +357,8 @@ func TestOPTOptimalityProperty(t *testing.T) {
 		refs := int(refsRaw)%1500 + 10
 		tr := randomTrace(src, refs, 32)
 		capacity := int64(capRaw)%16 + 1
-		lru, err1 := RunLRUFixed(tr, capacity)
-		opt, err2 := RunOPTFixed(tr, capacity)
+		lru, err1 := RunPolicyFixed("lru", tr, capacity)
+		opt, err2 := RunPolicyFixed(OPTReplayName, tr, capacity)
 		if err1 != nil || err2 != nil {
 			return false
 		}

@@ -31,7 +31,7 @@ func TestPolicyRunConstantProfileMatchesFixed(t *testing.T) {
 		tr := localTrace(src, 800, 1+src.Int63n(96))
 		for _, m := range []int64{1, 3, 8, 21} {
 			for _, name := range names {
-				stats, err := PolicyRun(name, tr, constSource{m}, 0)
+				stats, err := replayLedger(name, nil, tr, constSource{m}, 0)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -56,8 +56,8 @@ func TestPolicyRunConstantProfileMatchesFixed(t *testing.T) {
 	}
 }
 
-// TestPolicyRunSquareRouting: the reserved "square" name must hit the
-// existing cleared-cache square path exactly.
+// TestPolicyRunSquareRouting: the reserved "square" name must resolve to
+// the cleared-cache square replay SquareRun drives.
 func TestPolicyRunSquareRouting(t *testing.T) {
 	src := xrand.New(xrand.Split(52, "policyrun-square", 0))
 	tr := localTrace(src, 600, 48)
@@ -69,7 +69,7 @@ func TestPolicyRunSquareRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := PolicyRun(SquareReplayName, tr, bs1, 0)
+	got, err := replayLedger(SquareReplayName, nil, tr, bs1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestPolicyRunVaryingProfileMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stats, err := PolicyRun(name, tr, bs, 0)
+		stats, err := replayLedger(name, nil, tr, bs, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +170,7 @@ func TestPolicyRunVaryingProfileMatchesOracle(t *testing.T) {
 func TestPolicyRunUnknownName(t *testing.T) {
 	src := xrand.New(xrand.Split(54, "policyrun-unknown", 0))
 	tr := localTrace(src, 10, 4)
-	_, err := PolicyRun("belady-crystal-ball", tr, constSource{4}, 0)
+	_, err := replayLedger("belady-crystal-ball", nil, tr, constSource{4}, 0)
 	if err == nil {
 		t.Fatal("unknown replay name accepted")
 	}
@@ -193,12 +193,12 @@ func TestOPTPlanNeverWorseThanKernels(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, m := range []int64{2, 5, 13} {
-			var opt []BoxStat
-			if err := plan.Run(constSource{m}, 0, func(s BoxStat) { opt = append(opt, s) }); err != nil {
+			opt, err := replayLedger(OPTReplayName, plan, tr, constSource{m}, 0)
+			if err != nil {
 				t.Fatal(err)
 			}
 			for _, name := range PolicyNames() {
-				on, err := PolicyRun(name, tr, constSource{m}, 0)
+				on, err := replayLedger(name, nil, tr, constSource{m}, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -252,7 +252,7 @@ func TestPolicyRunCreditsEveryLeaf(t *testing.T) {
 		tr := leafTrace(src, 50+src.Intn(700), 1+src.Int63n(64))
 		boxSeed := src.Uint64()
 		for _, name := range ReplayNames() {
-			stats, err := PolicyRun(name, tr, randomBoxes(t, xrand.New(boxSeed), 1+src.Intn(40), 24), 0)
+			stats, err := replayLedger(name, nil, tr, randomBoxes(t, xrand.New(boxSeed), 1+src.Intn(40), 24), 0)
 			if err != nil {
 				t.Fatalf("trial %d, %s: %v", trial, name, err)
 			}
@@ -271,8 +271,8 @@ func TestPolicyRunCreditsEveryLeaf(t *testing.T) {
 
 // TestOPTPlanSharedAcrossGoroutines runs one plan from several goroutines
 // at once, each against its own profile, and requires every ledger to equal
-// a run of a freshly built plan. Run under -race this also checks that Run
-// never writes the shared plan.
+// a run of a freshly built plan. Run under -race this also checks that a
+// run never writes the shared plan.
 func TestOPTPlanSharedAcrossGoroutines(t *testing.T) {
 	src := xrand.New(xrand.Split(57, "optplan-shared", 0))
 	tr := leafTrace(src, 3000, 96)
@@ -293,7 +293,7 @@ func TestOPTPlanSharedAcrossGoroutines(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = shared.Run(boxes, 0, func(s BoxStat) { got[i] = append(got[i], s) })
+			got[i], errs[i] = replayLedger(OPTReplayName, shared, tr, boxes, 0)
 		}(i)
 	}
 	wg.Wait()
@@ -301,12 +301,8 @@ func TestOPTPlanSharedAcrossGoroutines(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("run %d: %v", i, errs[i])
 		}
-		fresh, err := NewOPTPlan(tr)
+		want, err := replayLedger(OPTReplayName, nil, tr, randomBoxes(t, xrand.New(seeds[i]), 64, 40), 0)
 		if err != nil {
-			t.Fatal(err)
-		}
-		var want []BoxStat
-		if err := fresh.Run(randomBoxes(t, xrand.New(seeds[i]), 64, 40), 0, func(s BoxStat) { want = append(want, s) }); err != nil {
 			t.Fatal(err)
 		}
 		if !slices.Equal(got[i], want) {

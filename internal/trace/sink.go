@@ -102,8 +102,8 @@ func Replay(tr *Trace, s Sink) {
 // inside the range are preserved. It panics on an out-of-range window (a
 // caller bug, matching the slice convention). If s implements Stopper, the
 // replay halts at the first index where Stopped reports true, so a sink
-// that is done consuming (SquareFinisher with exhausted boxes) costs
-// O(served) rather than O(trace).
+// that is done consuming (a box replay whose finite profile ran out)
+// costs O(served) rather than O(trace).
 //
 //lint:hotpath
 func ReplayRange(tr *Trace, s Sink, lo, hi int) {

@@ -9,6 +9,45 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# tests_exist PATTERN PKG...: fail unless every |-separated alternative of
+# the -run or -fuzz PATTERN names at least one test, benchmark, fuzz target
+# or example in PKG... (go test -list), so renaming a test cannot silently
+# empty a step.
+tests_exist() {
+    pattern=$1
+    shift
+    listed=$(go test -list "$pattern" "$@" | grep -E '^(Test|Benchmark|Fuzz|Example)' || true)
+    set -f
+    old_ifs=$IFS
+    IFS='|'
+    for alt in $pattern; do
+        if ! printf '%s\n' "$listed" | grep -Eq -- "$alt"; then
+            echo "ci: pattern alternative '$alt' matches no test in $*" >&2
+            exit 1
+        fi
+    done
+    IFS=$old_ifs
+    set +f
+}
+
+# run_tests PATTERN FLAGS PKG...: go test FLAGS -run PATTERN PKG..., after
+# checking PATTERN with tests_exist. FLAGS is one word list ("-race -short").
+run_tests() {
+    pattern=$1
+    flags=$2
+    shift 2
+    tests_exist "$pattern" "$@"
+    # shellcheck disable=SC2086 # FLAGS is deliberately split into words
+    go test $flags -run "$pattern" "$@"
+}
+
+# fuzz_smoke TARGET PKG: five seconds of fuzzing one target. -run '^$'
+# skips the unit tests (already covered) so only the fuzzing engine runs.
+fuzz_smoke() {
+    tests_exist "$1" "$2"
+    go test -run '^$' -fuzz "$1" -fuzztime 5s "$2"
+}
+
 echo "== gofmt =="
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
@@ -29,7 +68,7 @@ go run ./cmd/cadaptivelint ./...
 echo "== hotpath/alloc consistency =="
 # Every //lint:hotpath annotation must be backed by an AllocsPerRun test
 # (//allocguard marker), and no marker may outlive its annotation.
-go test -count=1 -run 'TestHotpathAllocConsistency' ./internal/lint/
+run_tests 'TestHotpathAllocConsistency' -count=1 ./internal/lint/
 
 echo "== go build =="
 go build ./...
@@ -40,17 +79,17 @@ echo "== go test =="
 go test -shuffle=on ./...
 
 echo "== go test -race (short) =="
-go test -race -short \
+run_tests 'TestMap|TestNested|TestShared|TestGroup|TestTrialsDeterministicAcrossWorkers|TestRunAllDeterministicAcrossWorkers' \
+    '-race -short' \
     ./internal/engine/ \
     ./internal/adaptivity/ \
-    ./internal/core/ \
-    -run 'TestMap|TestNested|TestShared|TestGroup|TestTrialsDeterministicAcrossWorkers|TestRunAllDeterministicAcrossWorkers'
+    ./internal/core/
 
 echo "== go test -race (service + paging properties) =="
-go test -race -short \
+run_tests 'TestService|TestCache|TestLRU|TestFIFO|TestOPT|TestHitsPlusMisses|TestShrink|TestClient' \
+    '-race -short' \
     ./internal/service/ \
-    ./internal/paging/ \
-    -run 'TestService|TestCache|TestLRU|TestFIFO|TestOPT|TestHitsPlusMisses|TestShrink|TestClient'
+    ./internal/paging/
 
 echo "== go test -race (fault injection) =="
 go test -race -short ./internal/fault/
@@ -59,33 +98,33 @@ echo "== go test -race (sharded result cache) =="
 # The sharded cache under concurrency: singleflight per shard, the
 # stale-while-revalidate background refresh, the differential replay against
 # the single-mutex oracle, and the eviction-policy adapters.
-go test -race -short \
-    ./internal/service/ \
-    -run 'TestCacheDifferential|TestCacheBytesBound|TestCacheTTL|TestCacheSWR|TestCacheShardRouting|TestCacheDisabled|TestServiceTablesIdenticalAcrossShardCounts' \
-    -count=1
+run_tests 'TestCacheDifferential|TestCacheBytesBound|TestCacheTTL|TestCacheSWR|TestCacheShardRouting|TestCacheDisabled|TestServiceTablesIdenticalAcrossShardCounts' \
+    '-race -short -count=1' \
+    ./internal/service/
 
 echo "== go test -race (policy registry + adaptive kernels) =="
 # The ReplacementPolicy registry end to end: ARC/2Q differential oracles,
-# the live-kernel box replay (PolicyStream/PolicyRun and the OPT plan,
-# including one OPTPlan run from several goroutines at once), the
+# the box replay driver over every replay name (live kernels, the OPT
+# cursor — including one OPTPlan replayed from several goroutines at once
+# and its evict-on-miss reference — and the edge-case table), the
 # registry-name plumbing through MeasureTracePolicy, the streamed box fold
 # against a fold of the per-box ledger, the reference conformance suite
 # over every registered policy, and the one-pass LRU/OPT stack curves
 # against the per-capacity kernels.
-go test -race -short \
+run_tests 'TestARC|Test2Q|TestTwoQ|TestPolicy|TestBoxReplay|TestOPTPlan|TestOPTBoxReplay|TestMeasureTracePolicy|TestFoldMatchesLedger|TestStackCurve' \
+    '-race -short -count=1' \
     ./internal/paging/ \
-    ./internal/adaptivity/ \
-    -run 'TestARC|Test2Q|TestTwoQ|TestPolicy|TestOPTPlan|TestMeasureTracePolicy|TestFoldMatchesLedger|TestStackCurve' \
-    -count=1
+    ./internal/adaptivity/
 
 echo "== go test -race (square replay) =="
 # The square-semantics replays: the fresh-data repeated replay against its
-# address-shifted reference, the finisher's validation and early-stop
-# regressions, and the trace-backed measurement across worker counts.
-go test -race -short \
+# address-shifted reference, the served-count finisher's validation and
+# early-stop regressions, and the trace-backed measurement across worker
+# counts.
+run_tests 'TestServedRepeat|TestSquareFinisher|TestReplayRangeHalts|TestReplayRepeatHalts|TestMeasureTrace' \
+    '-race -short' \
     ./internal/paging/ \
-    ./internal/adaptivity/ \
-    -run 'TestServedRepeat|TestSquareFinisher|TestReplayRangeHalts|TestReplayRepeatHalts|TestMeasureTrace'
+    ./internal/adaptivity/
 
 echo "== chaos smoke =="
 # The deterministic fault storm: concurrent clients against a real server
@@ -93,13 +132,14 @@ echo "== chaos smoke =="
 # survival, no deadlock, valid statuses, metrics conservation, and
 # post-retry result identity with a fault-free run. Under -race so the
 # fault paths (panic containment, queue shedding) are also race-checked.
-go test -race -count=1 -run 'TestChaos' ./internal/service/
+run_tests 'TestChaos' '-race -count=1' ./internal/service/
 
 echo "== go test -race (durable batch jobs) =="
 # The jobs layer end to end under the race detector: scheduler fairness,
 # retry/poison accounting, journal replay, manager kill/resume, and the
 # service-level jobs API including resume across server instances.
-go test -race -count=1 -run 'TestJob|TestJournal|TestSpec|TestRetry|TestTransient|TestCancel|TestSubmit|TestWeighted|TestKillRestartResume|TestResume|TestRestore|TestSchedulerFaults|TestServiceJobs|TestServiceHealthz' \
+run_tests 'TestJob|TestJournal|TestSpec|TestRetry|TestTransient|TestCancel|TestSubmit|TestWeighted|TestKillRestartResume|TestResume|TestRestore|TestSchedulerFaults|TestServiceJobs|TestServiceHealthz' \
+    '-race -count=1' \
     ./internal/jobs/ \
     ./internal/service/
 
@@ -107,7 +147,7 @@ echo "== kill-and-restart smoke =="
 # The durability claim, end to end: SIGKILL a real cadaptived mid-job (no
 # shutdown path runs), restart it on the same -jobs-dir, and assert the job
 # completes while only the journal-missing cells recompute.
-go test -race -count=1 -run 'TestDaemonKillRestartResume' ./cmd/cadaptived/
+run_tests 'TestDaemonKillRestartResume' '-race -count=1' ./cmd/cadaptived/
 
 echo "== go test -race (shared cache + smoothing) =="
 go test -race -short \
@@ -123,17 +163,16 @@ go test -run=NONE -bench=. -benchtime=1x ./...
 
 echo "== fuzz smoke =="
 # Five seconds per fuzz target: enough to exercise the mutator on the
-# checked-in corpora without stalling CI. -run '^$' skips the unit tests
-# (already covered above) so only the fuzzing engine runs.
-go test -run '^$' -fuzz '^FuzzParseID$' -fuzztime 5s ./internal/core/
-go test -run '^$' -fuzz '^FuzzReadTSV$' -fuzztime 5s ./internal/profile/
-go test -run '^$' -fuzz '^FuzzParseIgnoreDirective$' -fuzztime 5s ./internal/lint/
-go test -run '^$' -fuzz '^FuzzParseAnnotation$' -fuzztime 5s ./internal/lint/
-go test -run '^$' -fuzz '^FuzzKernelsMatchOracles$' -fuzztime 5s ./internal/paging/
-go test -run '^$' -fuzz '^FuzzAdaptivePoliciesMatchOracles$' -fuzztime 5s ./internal/paging/
-go test -run '^$' -fuzz '^FuzzServedRepeatMatchesShiftedReplay$' -fuzztime 5s ./internal/paging/
-go test -run '^$' -fuzz '^FuzzStackCurveMatchesKernels$' -fuzztime 5s ./internal/paging/
-go test -run '^$' -fuzz '^FuzzShardRouting$' -fuzztime 5s ./internal/service/
-go test -run '^$' -fuzz '^FuzzJournalReplay$' -fuzztime 5s ./internal/jobs/
+# checked-in corpora without stalling CI.
+fuzz_smoke '^FuzzParseID$' ./internal/core/
+fuzz_smoke '^FuzzReadTSV$' ./internal/profile/
+fuzz_smoke '^FuzzParseIgnoreDirective$' ./internal/lint/
+fuzz_smoke '^FuzzParseAnnotation$' ./internal/lint/
+fuzz_smoke '^FuzzKernelsMatchOracles$' ./internal/paging/
+fuzz_smoke '^FuzzAdaptivePoliciesMatchOracles$' ./internal/paging/
+fuzz_smoke '^FuzzServedRepeatMatchesShiftedReplay$' ./internal/paging/
+fuzz_smoke '^FuzzStackCurveMatchesKernels$' ./internal/paging/
+fuzz_smoke '^FuzzShardRouting$' ./internal/service/
+fuzz_smoke '^FuzzJournalReplay$' ./internal/jobs/
 
 echo "CI OK"
