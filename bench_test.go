@@ -574,18 +574,23 @@ func BenchmarkGapSampleReused(b *testing.B) {
 	}
 }
 
-// BenchmarkShuffleTo is BenchmarkShuffle without the per-trial profile
-// clone: shuffle into a reused buffer.
-func BenchmarkShuffleTo(b *testing.B) {
+// BenchmarkShuffledSource is BenchmarkShuffle as the engine workers run
+// it: a reused source permutes the profile's one-byte size codes, with no
+// per-trial profile clone.
+func BenchmarkShuffledSource(b *testing.B) {
 	wc, err := profile.WorstCase(8, 4, profile.Pow(4, 6))
 	if err != nil {
 		b.Fatal(err)
 	}
+	coded, err := smoothing.NewCodedProfile(wc)
+	if err != nil {
+		b.Fatal(err)
+	}
 	rng := xrand.New(1)
-	var buf []int64
+	var src smoothing.ShuffledSource
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		buf = smoothing.ShuffleTo(buf, wc, rng)
+		src.Reset(coded, rng)
 	}
 }

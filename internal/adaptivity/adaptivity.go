@@ -192,21 +192,22 @@ func GapOnProfile(spec regular.Spec, n int64, prof *profile.SquareProfile) (RunR
 	if err != nil {
 		return RunResult{}, err
 	}
-	// The largest sound bound on boxes: every box completes at least one
-	// access of the T(n) total, so T(n)+1 boxes always suffice.
-	maxBoxes := int64(spec.IOCost(n)) + 1
-	return MeasureSymbolic(spec, n, src, maxBoxes)
+	return MeasureSymbolic(spec, n, src, stallBound(spec, n))
 }
 
-// GapOnBoxesExec is GapOnProfile over a raw box slice (cycled) with a
-// caller-owned executor and source — the fully allocation-light form for
-// engine workers that perturb profiles into per-worker scratch buffers.
-func GapOnBoxesExec(e *regular.Exec, src *profile.BoxesSource, boxes []int64) (RunResult, error) {
-	if err := src.Rebind(boxes); err != nil {
-		return RunResult{}, err
-	}
-	maxBoxes := int64(e.Spec().IOCost(e.N())) + 1
-	return MeasureSymbolicExec(e, src, maxBoxes)
+// GapOnSourceExec is GapOnProfile against any box source with a
+// caller-owned executor — the allocation-free form for engine workers that
+// stream smoothed profiles (smoothing.ShuffledSource and friends) and reuse
+// one source and one executor across trials.
+func GapOnSourceExec(e *regular.Exec, src profile.Source) (RunResult, error) {
+	return MeasureSymbolicExec(e, src, stallBound(e.Spec(), e.N()))
+}
+
+// stallBound is the largest sound bound on boxes for spec on n blocks:
+// every box completes at least one access of the T(n) total, so T(n)+1
+// boxes always suffice.
+func stallBound(spec regular.Spec, n int64) int64 {
+	return int64(spec.IOCost(n)) + 1
 }
 
 // GapSample runs one Theorem-1 trial — spec on n blocks against i.i.d.

@@ -513,6 +513,13 @@ func (m *Manager) Submit(spec Spec) (*Status, error) {
 	m.seq++
 	id := "j" + strconv.Itoa(m.seq)
 	j := m.newJob(id, norm)
+	// Snapshot the status before the job is published: once it is in
+	// m.order, an already-awake scheduler may dispatch its cells as soon
+	// as m.mu is released, and a fast runner may finish them all before
+	// Submit returns. The caller sees the job as it was submitted.
+	j.mu.Lock()
+	st := j.statusLocked(false)
+	j.mu.Unlock()
 	m.jobs[id] = j
 	m.order = append(m.order, j)
 	m.mu.Unlock()
@@ -528,9 +535,7 @@ func (m *Manager) Submit(spec Spec) (*Status, error) {
 		}
 	}
 	m.kick()
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.statusLocked(false), nil
+	return st, nil
 }
 
 // Status snapshots one job; withCells includes per-cell detail and the

@@ -126,6 +126,48 @@ func TestJobRunsToCompletion(t *testing.T) {
 	}
 }
 
+// TestSubmitReturnsStatusAsSubmitted: Submit's status describes the job as
+// it was submitted — running, every cell pending — even when the runner
+// finishes cells instantly and the scheduler is already awake dispatching
+// earlier jobs, so it could pick the new job up the moment it is
+// published; the journal's append between publishing and returning widens
+// that window. Jobs are submitted back to back, up to MaxJobs in flight.
+func TestSubmitReturnsStatusAsSubmitted(t *testing.T) {
+	opts := testOpts(echoRunner)
+	opts.MaxJobs = 64
+	opts.Dir = t.TempDir()
+	m, err := Open(opts)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer closeManager(t, m)
+	var ids []string
+	for i := 0; i < 200; i++ {
+		st, err := m.Submit(spec4())
+		if errors.Is(err, ErrTooManyJobs) {
+			for _, id := range ids {
+				waitSettled(t, m, id)
+			}
+			ids = ids[:0]
+			if st, err = m.Submit(spec4()); err != nil {
+				t.Fatalf("Submit %d after drain: %v", i, err)
+			}
+		} else if err != nil {
+			t.Fatalf("Submit %d: %v", i, err)
+		}
+		if st.Status != JobRunning || st.Pending != st.Total || st.Total != 4 {
+			t.Fatalf("Submit %d returned %+v, want running with all 4 cells pending", i, st)
+		}
+		ids = append(ids, st.ID)
+	}
+	for _, id := range ids {
+		if fin := waitSettled(t, m, id); fin.Status != JobCompleted {
+			t.Fatalf("job %s: %+v", id, fin)
+		}
+	}
+	checkConservation(t, m.Ledger())
+}
+
 // TestRetryThenPoisonDegradesToPartial: one cell fails deterministically
 // every attempt; it burns its budget, poisons, and the job lands "partial"
 // with every other cell's table intact.

@@ -128,34 +128,35 @@ func (c constSource) Next() int64 { return c.size }
 // discardBox is an onBox callback for tests that do not read the boxes.
 func discardBox(BoxStat) {}
 
-// TestOptHeapZeroAllocSteadyState: once the heap's backing array has grown
-// to the peak population, balanced push/pop churn reuses it.
+// TestOptHeapZeroAllocSteadyState: the OPT cursor's indexed heap is
+// allocated at the block universe, so filling it, raising keys in place
+// and popping it empty again allocates nothing.
 //
-//allocguard:optHeap.push
-//allocguard:optHeap.pop
+//allocguard:residentHeap.push
+//allocguard:residentHeap.up
+//allocguard:residentHeap.popMax
 func TestOptHeapZeroAllocSteadyState(t *testing.T) {
 	src := xrand.New(xrand.Split(50, "alloc-opt", 0))
-	keys := make([]uint64, 256)
-	for i := range keys {
-		keys[i] = src.Uint64()
+	const universe = 256
+	keys := make([]uint64, universe)
+	for b := range keys {
+		keys[b] = src.Uint64()>>34<<32 | uint64(b)
 	}
-	var h optHeap
-	for _, k := range keys {
-		h.push(k)
-	}
-	for len(h) > 0 {
-		h.pop()
-	}
-	avg := testing.AllocsPerRun(10, func() {
+	h := newResidentHeap(universe)
+	churn := func() {
 		for _, k := range keys {
 			h.push(k)
 		}
-		for len(h) > 0 {
-			h.pop()
+		for b, k := range keys {
+			h.up(int(h.slot[b]), k+1<<40)
 		}
-	})
-	if avg != 0 {
-		t.Fatalf("optHeap push/pop churn allocates %.1f times per run, want 0", avg)
+		for len(h.keys) > 0 {
+			h.popMax()
+		}
+	}
+	churn()
+	if avg := testing.AllocsPerRun(10, churn); avg != 0 {
+		t.Fatalf("resident heap push/raise/pop churn allocates %.1f times per run, want 0", avg)
 	}
 }
 

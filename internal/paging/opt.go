@@ -14,18 +14,18 @@ import (
 //
 // Next-use positions are precomputed in a single backward pass over the
 // trace using a dense last-seen array, and the farthest-in-future choice is
-// a hand-rolled max-heap of packed uint64 keys (nextUse in the high 32
-// bits, block in the low 32) — no interface boxing, no per-entry
-// allocation. Stale heap entries are invalidated lazily: an entry is live
-// iff its nextUse matches the block's current one, which is unambiguous
-// because a block's successive next-use positions are distinct (the "never
-// used again" sentinel n appears at most once per block). Ties can
-// therefore only occur among never-used-again blocks, where the eviction
-// choice cannot change the miss count.
-
-// optNever marks "no further use"; as a next-use position it sorts after
-// every real index.
-const optNever = int32(-1)
+// an indexed max-heap over the resident blocks only: one packed uint64 key
+// per resident block (nextUse in the high 32 bits, block in the low 32),
+// with a dense slot array giving each block's heap index — no interface
+// boxing, no per-entry allocation, no stale entries. A hit moves the
+// block's key in place (its next use only moves later, so the key rises
+// and sifts up), a miss at capacity pops the root, and a shrink pops down
+// to the new capacity. The block sits in the low bits, so keys are unique
+// and the root is the one resident block with the farthest next use, ties
+// broken by the larger block ID — the same victim a heap of every
+// reference's key yields once its stale entries are skipped. Ties on
+// nextUse can only occur among never-used-again blocks, where the
+// eviction choice cannot change the miss count anyway.
 
 // OPTPlan is the clairvoyant replay's precomputation: a trace and its
 // next-use table, built once in one backward pass. A BoxReplay named "opt"
@@ -79,33 +79,27 @@ func (p *OPTPlan) Trace() *trace.Trace { return p.tr }
 // sequence as evicting down to the new capacity on the miss itself.
 type optCursor struct {
 	plan     *OPTPlan
-	curNext  []int32 // live heap key's nextUse for resident block b; optNever when absent
-	h        optHeap
+	h        residentHeap
 	pos      int // the next plan position to be fed
-	size     int64
 	capacity int64
 	misses   int64
 }
 
-// cursor starts a run of the plan. The heap is allocated at the trace's
-// length, which bounds its population (one push per reference), so a run
+// cursor starts a run of the plan. The heap holds at most one key per
+// block, so it is allocated at the block universe and never grows: a run
 // makes the same two allocations whatever its box count.
 func (p *OPTPlan) cursor() *optCursor {
-	curNext := make([]int32, p.tr.MaxBlock()+1)
-	for i := range curNext {
-		curNext[i] = optNever
-	}
-	return &optCursor{plan: p, curNext: curNext, h: make(optHeap, 0, p.tr.Len())}
+	return &optCursor{plan: p, h: newResidentHeap(p.tr.MaxBlock() + 1)}
 }
 
 // Contains reports whether block is resident.
 func (c *optCursor) Contains(block int64) bool {
-	return block >= 0 && block < int64(len(c.curNext)) && c.curNext[block] != optNever
+	return block >= 0 && block < int64(len(c.h.slot)) && c.h.slot[block] >= 0
 }
 
 // Access serves the plan's next reference, which must be block, evicting
 // the farthest-next-use resident block on a miss at capacity. Either way
-// the block's next-use key is refreshed.
+// the block's key becomes its next use after this reference.
 //
 //lint:hotpath
 func (c *optCursor) Access(block int64) bool {
@@ -115,17 +109,16 @@ func (c *optCursor) Access(block int64) bool {
 	}
 	key := keys[c.pos]
 	c.pos++
-	hit := c.curNext[block] != optNever
-	if !hit {
-		c.misses++
-		if c.size >= c.capacity {
-			c.evict()
-		}
-		c.size++
+	if i := c.h.slot[block]; i >= 0 {
+		c.h.up(int(i), key) // its next use only moves later: the key rises
+		return true
 	}
-	c.curNext[block] = int32(key >> 32)
+	c.misses++
+	if int64(len(c.h.keys)) >= c.capacity {
+		c.h.popMax()
+	}
 	c.h.push(key)
-	return hit
+	return false
 }
 
 // diverged panics: the fed stream is not the plan's trace.
@@ -138,20 +131,6 @@ func (c *optCursor) diverged(block int64) {
 	panic(fmt.Sprintf("paging: OPT replay fed block %d at reference %d, where its plan has block %d", block, c.pos, c.plan.tr.Block(c.pos)))
 }
 
-// evict drops the resident block with the farthest next use, skipping
-// stale heap entries.
-func (c *optCursor) evict() {
-	for {
-		top := c.h.pop()
-		b := int64(uint32(top))
-		if c.curNext[b] == int32(top>>32) {
-			c.curNext[b] = optNever
-			c.size--
-			return
-		}
-	}
-}
-
 // SetCapacity resizes the cache, evicting farthest-next-use blocks if it
 // shrank.
 func (c *optCursor) SetCapacity(capacity int64) error {
@@ -159,8 +138,8 @@ func (c *optCursor) SetCapacity(capacity int64) error {
 		return fmt.Errorf("paging: OPT capacity %d < 1", capacity)
 	}
 	c.capacity = capacity
-	for c.size > capacity {
-		c.evict()
+	for int64(len(c.h.keys)) > capacity {
+		c.h.popMax()
 	}
 	return nil
 }
@@ -171,46 +150,82 @@ func (c *optCursor) Reserve(int64) {}
 // Misses reports the number of accesses that required a fetch.
 func (c *optCursor) Misses() int64 { return c.misses }
 
-// optHeap is a max-heap of packed (nextUse<<32 | block) keys.
-type optHeap []uint64
-
-//lint:hotpath
-func (h *optHeap) push(x uint64) {
-	*h = append(*h, x)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if s[p] >= s[i] {
-			break
-		}
-		s[p], s[i] = s[i], s[p]
-		i = p
-	}
+// residentHeap is an indexed max-heap of the resident blocks' packed
+// (nextUse<<32 | block) keys: keys is in heap order, and slot[b] is block
+// b's index in keys, or -1 when b is not resident.
+type residentHeap struct {
+	keys []uint64
+	slot []int32
 }
 
+// newResidentHeap returns an empty heap over blocks [0, universe), with
+// room for every one of them resident at once.
+func newResidentHeap(universe int64) residentHeap {
+	slot := make([]int32, universe)
+	for i := range slot {
+		slot[i] = -1
+	}
+	return residentHeap{keys: make([]uint64, 0, universe), slot: slot}
+}
+
+// push inserts the key of a block that is not resident.
+//
 //lint:hotpath
-func (h *optHeap) pop() uint64 {
-	s := *h
-	top := s[0]
+func (h *residentHeap) push(key uint64) {
+	i := len(h.keys)
+	h.keys = append(h.keys, key)
+	h.up(i, key)
+}
+
+// popMax removes the root — the resident block with the farthest next
+// use — and marks its block absent.
+//
+//lint:hotpath
+func (h *residentHeap) popMax() {
+	s := h.keys
+	h.slot[uint32(s[0])] = -1
 	n := len(s) - 1
-	s[0] = s[n]
+	last := s[n]
 	s = s[:n]
-	*h = s
+	h.keys = s
+	if n == 0 {
+		return
+	}
 	i := 0
 	for {
-		l, r, big := 2*i+1, 2*i+2, i
-		if l < n && s[l] > s[big] {
-			big = l
-		}
-		if r < n && s[r] > s[big] {
-			big = r
-		}
-		if big == i {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		s[i], s[big] = s[big], s[i]
-		i = big
+		if r := c + 1; r < n && s[r] > s[c] {
+			c = r
+		}
+		if s[c] <= last {
+			break
+		}
+		s[i] = s[c]
+		h.slot[uint32(s[i])] = int32(i)
+		i = c
 	}
-	return top
+	s[i] = last
+	h.slot[uint32(last)] = int32(i)
+}
+
+// up places key at index i or above, moving smaller ancestors down: it
+// inserts at the end, or replaces the key at i with one no smaller.
+//
+//lint:hotpath
+func (h *residentHeap) up(i int, key uint64) {
+	s := h.keys
+	for i > 0 {
+		p := (i - 1) / 2
+		if s[p] >= key {
+			break
+		}
+		s[i] = s[p]
+		h.slot[uint32(s[i])] = int32(i)
+		i = p
+	}
+	s[i] = key
+	h.slot[uint32(key)] = int32(i)
 }

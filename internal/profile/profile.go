@@ -72,12 +72,6 @@ func (p *SquareProfile) Boxes() []int64 {
 	return cp
 }
 
-// AppendBoxes appends the profile's box sizes to dst and returns the
-// extended slice — the reusable-buffer alternative to Boxes.
-func (p *SquareProfile) AppendBoxes(dst []int64) []int64 {
-	return append(dst, p.boxes...)
-}
-
 // Duration returns the total number of I/O steps covered by the profile
 // (the sum of box sizes, since each box of size X lasts X steps).
 func (p *SquareProfile) Duration() int64 {
@@ -210,10 +204,9 @@ type FuncSource func() int64
 func (f FuncSource) Next() int64 { return f() }
 
 // BoxesSource cycles over a raw box slice without copying it — the
-// allocation-light counterpart of SliceSource for the experiment engine's
-// per-trial hot loops, where the slice lives in a per-worker scratch
-// buffer. The caller guarantees every size is >= 1 and must not mutate the
-// slice while the source is in use.
+// allocation-light counterpart of SliceSource for callers that already
+// hold the boxes as a slice. The caller guarantees every size is >= 1 and
+// must not mutate the slice while the source is in use.
 type BoxesSource struct {
 	boxes []int64
 	pos   int
@@ -236,15 +229,4 @@ func (s *BoxesSource) Next() int64 {
 		s.pos = 0
 	}
 	return b
-}
-
-// Rebind points the source at a new slice and rewinds it, so one
-// BoxesSource can serve every trial a worker runs.
-func (s *BoxesSource) Rebind(boxes []int64) error {
-	if len(boxes) == 0 {
-		return fmt.Errorf("profile: cannot stream an empty box slice")
-	}
-	s.boxes = boxes
-	s.pos = 0
-	return nil
 }

@@ -37,16 +37,6 @@ func Shuffle(p *profile.SquareProfile, rng *xrand.Source) *profile.SquareProfile
 	return profile.MustNew(boxes)
 }
 
-// ShuffleTo writes a shuffled copy of p's boxes into buf (grown if needed)
-// and returns the shuffled slice. It draws the same permutation as Shuffle
-// for the same rng state but allocates nothing once buf has capacity — the
-// form the parallel engine uses with per-worker scratch buffers.
-func ShuffleTo(buf []int64, p *profile.SquareProfile, rng *xrand.Source) []int64 {
-	buf = p.AppendBoxes(buf[:0])
-	rng.Shuffle(len(buf), func(i, j int) { buf[i], buf[j] = buf[j], buf[i] })
-	return buf
-}
-
 // ---------------------------------------------------------------------------
 // S2 — box-size perturbation (fails to smooth).
 //
@@ -66,19 +56,6 @@ func PerturbSizes(p *profile.SquareProfile, rng *xrand.Source, t int64) (*profil
 		boxes[i] *= 1 + rng.Int63n(t)
 	}
 	return profile.New(boxes)
-}
-
-// PerturbSizesTo is PerturbSizes into a reusable buffer: the perturbed
-// boxes are written into buf (grown if needed) and returned.
-func PerturbSizesTo(buf []int64, p *profile.SquareProfile, rng *xrand.Source, t int64) ([]int64, error) {
-	if t < 1 {
-		return nil, fmt.Errorf("smoothing: perturbation bound t = %d < 1", t)
-	}
-	buf = p.AppendBoxes(buf[:0])
-	for i := range buf {
-		buf[i] *= 1 + rng.Int63n(t)
-	}
-	return buf, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -119,33 +96,6 @@ func RandomRotation(p *profile.SquareProfile, rng *xrand.Source) (*profile.Squar
 		}
 	}
 	return Rotate(p, p.Len()-1) // unreachable; duration accounting covers all
-}
-
-// RandomRotationTo is RandomRotation into a reusable buffer: it draws the
-// same start box as RandomRotation for the same rng state and writes the
-// rotated boxes into buf (grown if needed).
-func RandomRotationTo(buf []int64, p *profile.SquareProfile, rng *xrand.Source) ([]int64, error) {
-	if p.Len() == 0 {
-		return nil, fmt.Errorf("smoothing: cannot rotate an empty profile")
-	}
-	target := rng.Int63n(p.Duration())
-	start := p.Len() - 1
-	var acc int64
-	for i := 0; i < p.Len(); i++ {
-		acc += p.Box(i)
-		if target < acc {
-			start = i
-			break
-		}
-	}
-	buf = buf[:0]
-	for i := start; i < p.Len(); i++ {
-		buf = append(buf, p.Box(i))
-	}
-	for i := 0; i < start; i++ {
-		buf = append(buf, p.Box(i))
-	}
-	return buf, nil
 }
 
 // ---------------------------------------------------------------------------

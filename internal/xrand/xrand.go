@@ -84,13 +84,14 @@ func (s *Source) Int63n(n int64) int64 {
 }
 
 // boundedUint64 returns a uniform value in [0, n) using Lemire-style
-// rejection to avoid modulo bias.
+// rejection to avoid modulo bias: a draw v is rejected iff v < (2^64 mod n),
+// the threshold below which values would be biased. The threshold is
+// below n, so any v >= n is accepted without computing it — one division
+// per draw instead of two, with the same values as the two-division form.
 func (s *Source) boundedUint64(n uint64) uint64 {
-	// Threshold below which values would be biased.
-	t := (-n) % n
 	for {
 		v := s.Uint64()
-		if v >= t {
+		if v >= n || v >= (-n)%n {
 			return v % n
 		}
 	}

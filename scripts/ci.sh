@@ -109,9 +109,10 @@ echo "== go test -race (policy registry + adaptive kernels) =="
 # and its evict-on-miss reference — and the edge-case table), the
 # registry-name plumbing through MeasureTracePolicy, the streamed box fold
 # against a fold of the per-box ledger, the reference conformance suite
-# over every registered policy, and the one-pass LRU/OPT stack curves
-# against the per-capacity kernels.
-run_tests 'TestARC|Test2Q|TestTwoQ|TestPolicy|TestBoxReplay|TestOPTPlan|TestOPTBoxReplay|TestMeasureTracePolicy|TestFoldMatchesLedger|TestStackCurve' \
+# over every registered policy, the one-pass LRU/OPT stack curves against
+# the per-capacity kernels, and the OPT cursor's indexed resident heap
+# against the lazy-deletion heap it replaced.
+run_tests 'TestARC|Test2Q|TestTwoQ|TestPolicy|TestBoxReplay|TestOPTPlan|TestOPTBoxReplay|TestOPTCursorMatchesLazyHeap|TestMeasureTracePolicy|TestFoldMatchesLedger|TestStackCurve' \
     '-race -short -count=1' \
     ./internal/paging/ \
     ./internal/adaptivity/
@@ -150,6 +151,11 @@ echo "== kill-and-restart smoke =="
 run_tests 'TestDaemonKillRestartResume' '-race -count=1' ./cmd/cadaptived/
 
 echo "== go test -race (shared cache + smoothing) =="
+# The smoothing package's tests include the streamed shuffled, perturbed
+# and rotated sources against the materialising smoothings, from two
+# goroutines that share each profile and its code and rotation tables
+# read-only, as the engine workers of E3/E6/E7 do.
+tests_exist 'TestSourcesMatchMaterialised' ./internal/smoothing/
 go test -race -short \
     ./internal/sharedcache/ \
     ./internal/smoothing/
@@ -172,6 +178,7 @@ fuzz_smoke '^FuzzKernelsMatchOracles$' ./internal/paging/
 fuzz_smoke '^FuzzAdaptivePoliciesMatchOracles$' ./internal/paging/
 fuzz_smoke '^FuzzServedRepeatMatchesShiftedReplay$' ./internal/paging/
 fuzz_smoke '^FuzzStackCurveMatchesKernels$' ./internal/paging/
+fuzz_smoke '^FuzzOPTCursorMatchesLazyHeap$' ./internal/paging/
 fuzz_smoke '^FuzzShardRouting$' ./internal/service/
 fuzz_smoke '^FuzzJournalReplay$' ./internal/jobs/
 
