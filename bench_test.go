@@ -3,8 +3,9 @@ package repro_test
 // The benchmark harness: one benchmark per experiment (each regenerates the
 // corresponding paper claim at a bench-sized configuration and reports its
 // headline metric), plus micro-benchmarks of the hot kernels (the symbolic
-// executor, the square cache, profile construction, and the real
-// algorithms).
+// executor, the square cache, profile construction, trace generation). The
+// numeric twins of the traced algorithms are benchmarked in their own
+// packages' tests.
 //
 // Run everything with:
 //
@@ -15,21 +16,18 @@ package repro_test
 // benchmark output.
 
 import (
+	"context"
 	"strconv"
 	"testing"
 
 	"repro/internal/adaptivity"
 	"repro/internal/core"
-	"repro/internal/dp"
 	"repro/internal/engine"
-	"repro/internal/fft"
-	"repro/internal/gep"
 	"repro/internal/matrix"
 	"repro/internal/paging"
 	"repro/internal/profile"
 	"repro/internal/regular"
 	"repro/internal/smoothing"
-	"repro/internal/sorting"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/xrand"
@@ -46,7 +44,7 @@ func runExperiment(b *testing.B, id string, metric func(*core.Table) (string, fl
 	b.Helper()
 	var last *core.Table
 	for i := 0; i < b.N; i++ {
-		t, err := core.Run(id, benchConfig())
+		t, err := core.RunContext(context.Background(), id, benchConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -326,44 +324,6 @@ func BenchmarkShuffle(b *testing.B) {
 	}
 }
 
-// BenchmarkMulScan measures the real MM-Scan multiply (128×128).
-func BenchmarkMulScan(b *testing.B) {
-	src := xrand.New(3)
-	x, err := matrix.NewRandom(128, src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	y, err := matrix.NewRandom(128, src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := matrix.MulScan(x, y); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMulInPlace measures the real MM-InPlace multiply (128×128).
-func BenchmarkMulInPlace(b *testing.B) {
-	src := xrand.New(3)
-	x, err := matrix.NewRandom(128, src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	y, err := matrix.NewRandom(128, src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := matrix.MulInPlace(x, y); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkStoppingTimeEstimate measures one f(n) Monte-Carlo estimate —
 // the E4/E5 kernel.
 func BenchmarkStoppingTimeEstimate(b *testing.B) {
@@ -401,69 +361,6 @@ func BenchmarkGapOnDist(b *testing.B) {
 
 // --- Substrate micro-benchmarks ----------------------------------------------
 
-// BenchmarkFloydWarshallRec measures the real in-place I-GEP recursion
-// (128 vertices).
-func BenchmarkFloydWarshallRec(b *testing.B) {
-	src := xrand.New(4)
-	g, err := gep.NewRandomGraph(128, 0.3, src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		work := g.Clone()
-		if err := gep.FloydWarshallRec(work); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkLCSRecursive measures the boundary-passing quadrant LCS on
-// 512-character strings.
-func BenchmarkLCSRecursive(b *testing.B) {
-	src := xrand.New(6)
-	mk := func() string {
-		buf := make([]byte, 512)
-		for i := range buf {
-			buf[i] = byte('a' + src.Intn(4))
-		}
-		return string(buf)
-	}
-	x, y := mk(), mk()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := dp.LCSLengthRecursive(x, y); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMergeSort measures the real two-way merge sort on 64k values.
-func BenchmarkMergeSort(b *testing.B) {
-	src := xrand.New(8)
-	in := sorting.RandomSlice(1<<16, 1<<30, src)
-	b.SetBytes(int64(len(in) * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sorting.MergeSort(in)
-	}
-}
-
-// BenchmarkFFT measures the radix-2 FFT on 4096 points.
-func BenchmarkFFT(b *testing.B) {
-	src := xrand.New(10)
-	xs := make([]complex128, 4096)
-	for i := range xs {
-		xs[i] = complex(src.Float64(), src.Float64())
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := fft.Forward(xs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkFIFO measures the dynamic-capacity FIFO on a synthetic trace.
 func BenchmarkFIFO(b *testing.B) {
 	tr, err := regular.SyntheticTrace(regular.MMScanSpec, profile.Pow(4, 5))
@@ -498,9 +395,11 @@ func BenchmarkOPT(b *testing.B) {
 func BenchmarkTraceStrassen(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := matrix.TraceMulStrassen(128, 8); err != nil {
+		tb := &trace.Builder{}
+		if err := matrix.EmitMulStrassen(128, 8, tb); err != nil {
 			b.Fatal(err)
 		}
+		tb.Build()
 	}
 }
 

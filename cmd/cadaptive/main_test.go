@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"net/http/httptest"
 	"os"
@@ -27,15 +28,25 @@ var update = flag.Bool("update", false, "rewrite golden files from the current o
 // generated with (E1 is pure construction: no Monte-Carlo, milliseconds).
 var smokeArgs = []string{"-exp", "E1", "-seed", "7", "-trials", "2", "-maxk", "4", "-format", "json"}
 
+// parseSnapshot decodes CLI JSON output and checks its schema version.
+func parseSnapshot(t *testing.T, raw []byte) *core.Snapshot {
+	t.Helper()
+	var snap core.Snapshot
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatalf("CLI JSON output is not a valid snapshot: %v", err)
+	}
+	if snap.SchemaVersion != core.SnapshotSchemaVersion {
+		t.Fatalf("snapshot schema version %d, this build writes %d", snap.SchemaVersion, core.SnapshotSchemaVersion)
+	}
+	return &snap
+}
+
 // normalizeSnapshot zeroes the run-dependent parts — timestamp, wall times,
 // engine metrics — leaving exactly the deterministic content the schema
 // promises.
 func normalizeSnapshot(t *testing.T, raw []byte) []byte {
 	t.Helper()
-	snap, err := core.ParseSnapshot(raw)
-	if err != nil {
-		t.Fatalf("CLI JSON output is not a valid snapshot: %v", err)
-	}
+	snap := parseSnapshot(t, raw)
 	snap.GeneratedAt = ""
 	snap.TotalWallSeconds = 0
 	for _, tb := range snap.Experiments {
@@ -60,9 +71,7 @@ func TestGoldenJSONOutput(t *testing.T) {
 	}
 	// The clock is injected, so even the pre-normalization timestamp is
 	// deterministic: core.NewSnapshot never reads the wall clock itself.
-	if raw, err := core.ParseSnapshot(buf.Bytes()); err != nil {
-		t.Fatal(err)
-	} else if raw.GeneratedAt != "2020-07-15T12:00:00Z" {
+	if raw := parseSnapshot(t, buf.Bytes()); raw.GeneratedAt != "2020-07-15T12:00:00Z" {
 		t.Errorf("GeneratedAt %q, want the injected fixed clock", raw.GeneratedAt)
 	}
 	got := normalizeSnapshot(t, buf.Bytes())

@@ -72,7 +72,7 @@ func run(args []string, stdout io.Writer) (int, error) {
 
 	if *list {
 		for _, a := range lint.Analyzers() {
-			fmt.Fprintf(stdout, "%-10s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
 		}
 		return 0, nil
 	}

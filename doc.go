@@ -7,10 +7,11 @@
 // (a,b,c)-regular algorithm framework and its simplified caching model, the
 // adversarial worst-case profile of Figure 1, the four smoothing operators
 // (i.i.d. box sizes, size perturbation, start-time shift, box-order
-// perturbation), a block-trace/paging ground-truth backend with real
-// matrix-multiplication and dynamic-programming workloads, and the
-// measurement layer for the efficiency criterion and the stopping-time
-// recurrences at the heart of the main theorem.
+// perturbation), a block-trace/paging ground-truth backend with the traces
+// of real matrix-multiplication, dynamic-programming, Floyd-Warshall and
+// merge-sort workloads, and the measurement layer for the efficiency
+// criterion and the stopping-time recurrences at the heart of the main
+// theorem.
 //
 // Layout:
 //
@@ -20,11 +21,10 @@
 //	internal/paging      square-semantics cache, LRU, FIFO, Belady OPT
 //	internal/adaptivity  gap measurement, f(n)/f'(n), Lemma-3/Eq-6-8 checks
 //	internal/smoothing   the four smoothings (incl. the aligned S4 witness)
-//	internal/matrix      real MM-Scan / MM-InPlace / Strassen + traces
-//	internal/dp          LCS & edit distance, classic and (4,2,1)-recursive
-//	internal/gep         GEP Floyd-Warshall, copying and in-place + traces
-//	internal/sorting     two-way merge sort (the a = b boundary) + traces
-//	internal/fft         radix-2 FFT (the other a = b example) + traces
+//	internal/matrix      MM-Scan / MM-InPlace / Strassen traces
+//	internal/dp          (4,2,1)-recursive LCS & edit-distance trace
+//	internal/gep         GEP Floyd-Warshall traces, copying and in-place
+//	internal/sorting     two-way merge sort trace (the a = b boundary)
 //	internal/memsort     Barve-Vitter-style explicitly adaptive sorting model
 //	internal/sharedcache the intro's multi-tenant cache-contention generator
 //	internal/core        experiments E1–E13, ablations A1–A7, formatting

@@ -130,8 +130,8 @@ type Table struct {
 	Note   string     `json:"note,omitempty"` // provenance, fitted slopes, pass/fail summary
 	Header []string   `json:"header"`
 	Rows   [][]string `json:"rows"`
-	// Metrics is filled by Run/RunAll and the engine-backed runners; it is
-	// not part of the formatted text.
+	// Metrics is filled by RunContext/RunAllContext and the engine-backed
+	// runners; it is not part of the formatted text.
 	Metrics Metrics `json:"metrics"`
 }
 
@@ -305,12 +305,6 @@ func knownIDs() string {
 	return strings.Join(ids, ", ")
 }
 
-// Run executes the experiment with the given ID and records its Metrics
-// (wall time, engine cells, utilisation) on the returned table.
-func Run(id string, cfg Config) (*Table, error) {
-	return RunContext(context.Background(), id, cfg)
-}
-
 // RunContext is the run-by-ID entry point shared by the cadaptive CLI and
 // the cadaptived service — both go through it, so their results cannot
 // drift. ctx cancellation propagates into the experiment's engine fan-outs:
@@ -346,8 +340,8 @@ func CacheKey(id string, cfg Config) string {
 
 // runTimed executes one experiment and fills in its metrics. Each
 // experiment accounts against its own engine group (set up by the runner),
-// so per-experiment cell counts stay meaningful even when RunAll executes
-// many experiments concurrently on the shared pool.
+// so per-experiment cell counts stay meaningful even when RunAllContext
+// executes many experiments concurrently on the shared pool.
 func runTimed(e Experiment, cfg Config) (*Table, error) {
 	if err := cfg.Context().Err(); err != nil {
 		return nil, err // dead on arrival: don't start the run at all
@@ -367,16 +361,12 @@ func runTimed(e Experiment, cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// RunAll executes every experiment, fanning out across experiments on the
-// shared engine pool. Tables come back in ID order regardless of which
-// experiment finished first, and their contents are byte-identical to a
-// serial run; only the Metrics differ with the worker count.
-func RunAll(cfg Config) ([]*Table, error) {
-	return RunAllContext(context.Background(), cfg)
-}
-
-// RunAllContext is RunAll with cancellation threaded into the fan-out
-// across experiments (and from there into each experiment's own cells).
+// RunAllContext executes every experiment, fanning out across experiments
+// on the shared engine pool. Tables come back in ID order regardless of
+// which experiment finished first, and their contents are byte-identical
+// to a serial run; only the Metrics differ with the worker count. ctx
+// cancellation threads into the fan-out across experiments and from there
+// into each experiment's own cells.
 func RunAllContext(ctx context.Context, cfg Config) ([]*Table, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

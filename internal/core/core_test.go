@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"strconv"
 	"strings"
@@ -11,6 +13,16 @@ import (
 
 	"repro/internal/engine"
 )
+
+// run is RunContext without cancellation.
+func run(id string, cfg Config) (*Table, error) {
+	return RunContext(context.Background(), id, cfg)
+}
+
+// runAll is RunAllContext without cancellation.
+func runAll(cfg Config) ([]*Table, error) {
+	return RunAllContext(context.Background(), cfg)
+}
 
 // testConfig keeps experiment tests fast; the committed EXPERIMENTS.md
 // numbers use DefaultConfig.
@@ -41,7 +53,7 @@ func TestRegistryComplete(t *testing.T) {
 
 func TestRunUnknown(t *testing.T) {
 	for _, id := range []string{"E99", "A99", "E14", "A8"} {
-		_, err := Run(id, testConfig())
+		_, err := run(id, testConfig())
 		if err == nil {
 			t.Fatalf("%s: unknown experiment accepted", id)
 		}
@@ -55,7 +67,7 @@ func TestRunMalformedID(t *testing.T) {
 	// Regression: these used to be Sscanf-parsed with the error ignored, so
 	// "Axe" fell through as A0 and produced a confusing lookup failure.
 	for _, id := range []string{"Axe", "A", "E", "e3", "A07x", "E-1", "", "all"} {
-		_, err := Run(id, testConfig())
+		_, err := run(id, testConfig())
 		if err == nil {
 			t.Fatalf("%q: malformed experiment ID accepted", id)
 		}
@@ -103,7 +115,7 @@ func TestConfigValidation(t *testing.T) {
 	} {
 		bad := testConfig()
 		tc.mutate(&bad)
-		_, err := Run("E1", bad)
+		_, err := run("E1", bad)
 		if err == nil {
 			t.Fatalf("invalid %s accepted", tc.field)
 		}
@@ -121,7 +133,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 // smallConfig is the cheapest legal configuration — used where the suite
-// runs RunAll repeatedly (determinism, JSON round-trip), including under
+// runs runAll repeatedly (determinism, JSON round-trip), including under
 // the race detector in scripts/ci.sh.
 func smallConfig() Config {
 	return Config{Seed: 7, Trials: 2, MaxK: 4}
@@ -145,12 +157,12 @@ func TestRunAllDeterministicAcrossWorkers(t *testing.T) {
 	cfg := smallConfig()
 
 	engine.SetSharedWorkers(1)
-	serial, err := RunAll(cfg)
+	serial, err := runAll(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	engine.SetSharedWorkers(4)
-	parallel, err := RunAll(cfg)
+	parallel, err := runAll(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +183,7 @@ func TestRunAllDeterministicAcrossWorkers(t *testing.T) {
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	cfg := smallConfig()
-	tb, err := Run("E1", cfg)
+	tb, err := run("E1", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +230,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestRunFillsMetrics(t *testing.T) {
-	tb, err := Run("E3", smallConfig())
+	tb, err := run("E3", smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +256,7 @@ func TestRunFillsMetrics(t *testing.T) {
 }
 
 func TestAllExperimentsRun(t *testing.T) {
-	tables, err := RunAll(testConfig())
+	tables, err := runAll(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +283,7 @@ func TestAllExperimentsRun(t *testing.T) {
 }
 
 func TestE1ExactLogFactor(t *testing.T) {
-	tb, err := Run("E1", testConfig())
+	tb, err := run("E1", testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +304,7 @@ func TestE1ExactLogFactor(t *testing.T) {
 }
 
 func TestE2DichotomyInNote(t *testing.T) {
-	tb, err := Run("E2", testConfig())
+	tb, err := run("E2", testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +330,7 @@ func TestE2DichotomyInNote(t *testing.T) {
 }
 
 func TestE8AlignedGapIsExact(t *testing.T) {
-	tb, err := Run("E8", testConfig())
+	tb, err := run("E8", testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +350,7 @@ func TestE8AlignedGapIsExact(t *testing.T) {
 }
 
 func TestE9ScanAlwaysOne(t *testing.T) {
-	tb, err := Run("E9", testConfig())
+	tb, err := run("E9", testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +371,7 @@ func TestE9ScanAlwaysOne(t *testing.T) {
 }
 
 func TestE10NoViolations(t *testing.T) {
-	tb, err := Run("E10", testConfig())
+	tb, err := run("E10", testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +407,7 @@ func TestFormatTSV(t *testing.T) {
 }
 
 func TestA3ThresholdSharp(t *testing.T) {
-	tb, err := Run("A3", testConfig())
+	tb, err := run("A3", testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +442,7 @@ func TestA3ThresholdSharp(t *testing.T) {
 func TestA6SpreadSlopeMatchesPrediction(t *testing.T) {
 	cfg := testConfig()
 	cfg.MaxK = 6
-	tb, err := Run("A6", cfg)
+	tb, err := run("A6", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +465,7 @@ func TestA6SpreadSlopeMatchesPrediction(t *testing.T) {
 }
 
 func TestA5BoundarySlopesNearWorstCase(t *testing.T) {
-	tb, err := Run("A5", testConfig())
+	tb, err := run("A5", testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,19 +509,30 @@ func TestRunContextCancelled(t *testing.T) {
 	}
 }
 
+// TestRunContextMatchesRun checks that an experiment run alone and the
+// same experiment inside the whole suite run produce the same table.
 func TestRunContextMatchesRun(t *testing.T) {
 	cfg := smallConfig()
-	a, err := Run("E1", cfg)
+	a, err := RunContext(context.Background(), "E1", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunContext(context.Background(), "E1", cfg)
+	all, err := runAll(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var b *Table
+	for _, tb := range all {
+		if tb.ID == "E1" {
+			b = tb
+		}
+	}
+	if b == nil {
+		t.Fatal("RunAllContext returned no E1 table")
 	}
 	s, p := stripMetrics([]*Table{a}), stripMetrics([]*Table{b})
 	if !reflect.DeepEqual(s[0], p[0]) {
-		t.Error("Run and RunContext disagree for the same (experiment, config)")
+		t.Error("RunContext and RunAllContext disagree for the same (experiment, config)")
 	}
 }
 
@@ -543,4 +566,17 @@ func TestCacheKey(t *testing.T) {
 	if k := CacheKey("E3", cfg.WithContext(ctx)); k != k1 {
 		t.Error("attaching a context changed the cache key")
 	}
+}
+
+// ParseSnapshot unmarshals and version-checks a snapshot.
+func ParseSnapshot(data []byte) (*Snapshot, error) {
+	var s Snapshot
+	if err := json.Unmarshal(data, &s); err != nil {
+		return nil, fmt.Errorf("core: invalid snapshot: %w", err)
+	}
+	if s.SchemaVersion != SnapshotSchemaVersion {
+		return nil, fmt.Errorf("core: snapshot schema version %d, this build reads %d",
+			s.SchemaVersion, SnapshotSchemaVersion)
+	}
+	return &s, nil
 }

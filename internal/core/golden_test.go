@@ -22,7 +22,7 @@ func TestSeedTablesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full seed-config run; skipped under -short")
 	}
-	tables, err := RunAll(DefaultConfig())
+	tables, err := runAll(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

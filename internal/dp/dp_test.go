@@ -8,6 +8,7 @@ import (
 	"repro/internal/paging"
 	"repro/internal/profile"
 	"repro/internal/regular"
+	"repro/internal/trace"
 	"repro/internal/xrand"
 )
 
@@ -130,21 +131,30 @@ func TestDPProperties(t *testing.T) {
 	}
 }
 
+// traceLCS materialises the LCS trace through a Builder.
+func traceLCS(xLen int, blockWords int64) (*trace.Trace, error) {
+	b := &trace.Builder{}
+	if err := EmitLCS(xLen, blockWords, b); err != nil {
+		return nil, err
+	}
+	return b.Build(), nil
+}
+
 func TestTraceLCSValidation(t *testing.T) {
-	if _, err := TraceLCS(12, 4); err == nil {
+	if _, err := traceLCS(12, 4); err == nil {
 		t.Error("non-power length accepted")
 	}
-	if _, err := TraceLCS(4, 4); err == nil {
+	if _, err := traceLCS(4, 4); err == nil {
 		t.Error("length below base accepted")
 	}
-	if _, err := TraceLCS(64, 0); err == nil {
+	if _, err := traceLCS(64, 0); err == nil {
 		t.Error("block size 0 accepted")
 	}
 }
 
 func TestTraceLCSShape(t *testing.T) {
 	for _, n := range []int{16, 64, 256} {
-		tr, err := TraceLCS(n, 4)
+		tr, err := traceLCS(n, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +183,7 @@ func TestTraceLCSShape(t *testing.T) {
 // footprint rounded to a power of 2.)
 func TestTraceLCSCrossValidatesSymbolic(t *testing.T) {
 	const m, bw = 256, 4
-	tr, err := TraceLCS(m, bw)
+	tr, err := traceLCS(m, bw)
 	if err != nil {
 		t.Fatal(err)
 	}

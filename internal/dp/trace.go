@@ -1,3 +1,13 @@
+// Package dp traces the cache-oblivious dynamic-programming kernels the
+// paper cites as (a,b,c)-regular algorithms in the logarithmic gap: longest
+// common subsequence and edit distance (Chowdhury–Ramachandran style).
+//
+// The kernel is a boundary-passing divide-and-conquer over the DP table —
+// four quadrant subproblems on half-length strings plus Θ(n) boundary
+// work, i.e. the (4,2,1)-regular recursion (problem size in blocks halves,
+// four subproblems, linear scan): a = 4 > b = 2 and c = 1, squarely inside
+// the paper's gap. Its trace feeds the paging substrate; the package's
+// tests check a numeric twin of the recursion against the classic DP.
 package dp
 
 import (
@@ -6,9 +16,13 @@ import (
 	"repro/internal/trace"
 )
 
-// TraceLCS emits the block-reference trace of the quadrant LCS/edit
+// baseLen is the divide-and-conquer cutoff (strings at or below this length
+// are solved directly).
+const baseLen = 8
+
+// EmitLCS streams the block-reference trace of the quadrant LCS/edit
 // recursion on strings of xLen characters (power of two), with blockWords
-// characters (or boundary entries) per block.
+// characters (or boundary entries) per block, into s.
 //
 // Layout: X occupies words [0, n), Y words [n, 2n); boundary vectors come
 // from a stack allocator above them, allocated per recursive call and
@@ -17,15 +31,6 @@ import (
 // the Θ(n) distinct-blocks property — and each base-case block marks a
 // leaf. The per-call boundary stitch is the linear scan: Θ(m/B) contiguous
 // accesses, making the kernel (4,2,1)-regular in blocks.
-func TraceLCS(xLen int, blockWords int64) (*trace.Trace, error) {
-	b := &trace.Builder{}
-	if err := EmitLCS(xLen, blockWords, b); err != nil {
-		return nil, err
-	}
-	return b.Build(), nil
-}
-
-// EmitLCS streams the LCS trace into s without materializing it.
 func EmitLCS(xLen int, blockWords int64, s trace.Sink) error {
 	if xLen < 1 || xLen&(xLen-1) != 0 {
 		return fmt.Errorf("dp: traced kernel needs power-of-two length, got %d", xLen)

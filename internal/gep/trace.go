@@ -1,3 +1,14 @@
+// Package gep traces the Gaussian Elimination Paradigm (Chowdhury &
+// Ramachandran) instantiated for Floyd–Warshall all-pairs shortest paths —
+// one of the algorithm families the paper places in the logarithmic gap
+// ("Gaussian elimination [17]" with a > b, c = 1).
+//
+// The traced variants mirror the MM-Scan / MM-InPlace pair: the in-place
+// I-GEP recursion is (8,4,0)-shaped in blocks, while the not-in-place
+// variant — which materialises its U and V operands per call, adding a
+// Θ(d²/B) copy scan — is (8,4,1)-shaped and suffers the paper's worst-case
+// profile exactly as MM-Scan does. The package's tests check a numeric
+// twin of the recursion against the classic triple loop.
 package gep
 
 import (
@@ -6,6 +17,9 @@ import (
 	"repro/internal/profile"
 	"repro/internal/trace"
 )
+
+// gepBaseDim is the recursion cutoff of the divide-and-conquer variants.
+const gepBaseDim = 8
 
 // Traced GEP variants, mirroring internal/matrix's MM pair.
 //

@@ -5,7 +5,7 @@ package lint
 // packages that carry no //lint:guardedby / //lint:hotpath annotations,
 // so they need no scope entries.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{ErrCheck, HotPath, LockGuard, MapOrder, MutexCopy, NoRand, NoRecover, NoTime}
+	return []*Analyzer{ErrCheck, HotPath, LockGuard, MapOrder, MutexCopy, NoRand, NoRecover, NoTime, UnusedExport}
 }
 
 // DefaultScopes is the repository policy for where each check applies,
@@ -24,10 +24,14 @@ func Analyzers() []*Analyzer {
 //     compared against, and internal/service persists bodies in the
 //     content-addressed cache. Timing/metrics code inside them must carry
 //     //lint:ignore notime annotations.
+//   - unusedexport runs only under internal/, the packages whose every
+//     caller is in this module; cmd/, examples/ and perfbench/ are its
+//     callers, not its subjects.
 func DefaultScopes() map[string]Scope {
 	return map[string]Scope{
-		"norand":    {Exclude: []string{"internal/xrand"}},
-		"norecover": {Only: []string{"cmd", "internal/engine", "internal/jobs", "internal/service"}},
-		"notime":    {Only: []string{"internal/core", "internal/jobs", "internal/service"}},
+		"norand":       {Exclude: []string{"internal/xrand"}},
+		"norecover":    {Only: []string{"cmd", "internal/engine", "internal/jobs", "internal/service"}},
+		"notime":       {Only: []string{"internal/core", "internal/jobs", "internal/service"}},
+		"unusedexport": {Only: []string{"internal"}},
 	}
 }

@@ -14,11 +14,18 @@ func TestNoRecover(t *testing.T) { runTestdata(t, NoRecover, "norecover") }
 func TestLockGuard(t *testing.T) { runTestdata(t, LockGuard, "lockguard") }
 func TestHotPath(t *testing.T)   { runTestdata(t, HotPath, "hotpath") }
 
+// TestUnusedExport covers the package-local cases; the fixture module
+// test below covers references from another package.
+func TestUnusedExport(t *testing.T) {
+	runTestdata(t, UnusedExport, "unusedexport")
+	runTestdata(t, UnusedExport, "unusedexportmain")
+}
+
 // TestAnalyzersRegistry keeps the registry aligned with the shipped checks
 // and their documented names (the names are load-bearing: scopes and
 // //lint:ignore directives key off them).
 func TestAnalyzersRegistry(t *testing.T) {
-	want := []string{"errcheck", "hotpath", "lockguard", "maporder", "mutexcopy", "norand", "norecover", "notime"}
+	want := []string{"errcheck", "hotpath", "lockguard", "maporder", "mutexcopy", "norand", "norecover", "notime", "unusedexport"}
 	got := Analyzers()
 	if len(got) != len(want) {
 		t.Fatalf("%d analyzers, want %d", len(got), len(want))

@@ -76,7 +76,7 @@ func TestDirectiveSuppressesLines(t *testing.T) {
 // — a broken directive degrades to "not a suppression", never to a silent
 // one.
 func TestMalformedDirectivesAreReported(t *testing.T) {
-	pkg, err := LoadDir(filepath.Join("testdata", "src", "directive"))
+	pkg, err := loadDir(filepath.Join("testdata", "src", "directive"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ type Analyzer struct {
 
 // Pass carries one analyzer's view of one package. Mod is the whole
 // module when the package was loaded through LoadModule, or nil for
-// single-package loads (LoadDir, the testdata harness); module-aware
+// packages the testdata harness loads alone; module-aware
 // analyzers (hotpath's call-graph walk) degrade to package-local analysis
 // when it is absent.
 type Pass struct {

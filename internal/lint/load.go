@@ -16,8 +16,9 @@ import (
 )
 
 // Package is one parsed, type-checked, non-test package of the module.
-// Mod points back at the module that loaded it (nil under LoadDir), so
-// module-aware analyzers can walk call edges into sibling packages.
+// Mod points back at the module that loaded it (nil for a package the
+// test harness loads alone), so module-aware analyzers can walk call edges
+// into sibling packages.
 type Package struct {
 	Path  string // full import path, e.g. "repro/internal/core"
 	Rel   string // module-relative path, "" for the module root
@@ -176,35 +177,6 @@ func loadModuleWith(root string, std types.Importer) (*Module, error) {
 		order = remaining
 	}
 	return mod, nil
-}
-
-// LoadDir parses and type-checks the single package in dir against the
-// standard library only. The analyzer test harness uses it to load
-// testdata packages that the module walk deliberately skips.
-func LoadDir(dir string) (*Package, error) {
-	fset := token.NewFileSet()
-	files, err := parseDir(fset, dir)
-	if err != nil {
-		return nil, err
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("lint: no Go files in %s", dir)
-	}
-	pkg := &Package{
-		Path:  files[0].Name.Name,
-		Rel:   files[0].Name.Name,
-		Dir:   dir,
-		Fset:  fset,
-		Files: files,
-	}
-	imp := &moduleImporter{
-		checked: map[string]*types.Package{},
-		source:  stdImporter(),
-	}
-	if err := typeCheck(pkg, imp); err != nil {
-		return nil, err
-	}
-	return pkg, nil
 }
 
 // stdImporter returns the process-wide standard-library source importer.

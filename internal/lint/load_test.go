@@ -73,6 +73,37 @@ func TestHotPathCrossPackage(t *testing.T) {
 	}
 }
 
+// TestUnusedExportModule runs unusedexport over the fixture module: pkgb's
+// Grow and Hot are called from pkga's non-test code and are not reported;
+// Describe, which nothing calls, is. Nothing imports pkga, so both its
+// exports are reported.
+func TestUnusedExportModule(t *testing.T) {
+	mod, err := LoadModule(fixtureModule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		pkg  string
+		want []string
+	}{
+		{"pkgb", []string{"Describe"}},
+		{"pkga", []string{"Access", "Composed"}},
+	} {
+		res := RunPackage(mod.Lookup(tc.pkg), []*Analyzer{UnusedExport}, nil)
+		var got []string
+		for _, d := range res.Diagnostics {
+			for _, name := range []string{"Access", "Composed", "Describe", "Grow", "Hot"} {
+				if strings.Contains(d.Message, " "+name+" ") {
+					got = append(got, name)
+				}
+			}
+		}
+		if strings.Join(got, ",") != strings.Join(tc.want, ",") {
+			t.Errorf("%s: reported %v, want %v (diagnostics %v)", tc.pkg, got, tc.want, res.Diagnostics)
+		}
+	}
+}
+
 // TestLoadModuleCached pins the memoization contract: same absolute root,
 // same *Module instance.
 func TestLoadModuleCached(t *testing.T) {

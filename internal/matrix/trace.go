@@ -1,3 +1,13 @@
+// Package matrix generates the block-reference traces of the
+// matrix-multiply algorithms the paper discusses: MM-Scan (the canonical
+// (8,4,1)-regular non-adaptive algorithm — divide-and-conquer with
+// temporaries merged by a linear scan), MM-InPlace (the (8,4,0) variant
+// that accumulates into the output and needs no merge scan, and is
+// optimally cache-adaptive), and Strassen's algorithm (sub-cubic, in the
+// logarithmic gap with a = 7 > b = 4, c = 1). The traces replay against
+// the paging substrate for the paper's MM-Scan vs MM-InPlace experiment;
+// the package's tests check numeric twins of the same recursions against
+// the naive cubic loop.
 package matrix
 
 import (
@@ -54,9 +64,12 @@ func (g *traceGen) touchRegion(off, words int64) {
 	g.s.AccessRange(first, last-first+1)
 }
 
-// traceBaseDim is the recursion cutoff in the traced algorithms: a base
-// case multiplies two traceBaseDim×traceBaseDim quadrants. It is kept at
-// the same value as the numeric algorithms' cutoff.
+// baseDim is the recursion cutoff of the divide-and-conquer algorithms: a
+// base case multiplies two baseDim×baseDim quadrants. 8 keeps the recursion
+// deep enough to be interesting while amortising per-leaf work.
+const baseDim = 8
+
+// traceBaseDim is baseDim in the emitters' int64 word arithmetic.
 const traceBaseDim = int64(baseDim)
 
 func validateTraceArgs(dim int, blockWords int64) error {
@@ -181,7 +194,7 @@ func (g *traceGen) mulScanShuffled(cOff, aOff, bOff, d int64, rng *xrand.Source)
 			prods = append(prods, prod{quad(t2, qi, qj), quad(aOff, qi, 1), quad(bOff, 1, qj)})
 		}
 	}
-	rng.Shuffle(len(prods), func(i, j int) { prods[i], prods[j] = prods[j], prods[i] })
+	xrand.Shuffle(rng, prods)
 	for _, p := range prods {
 		g.mulScanShuffled(p.tOff, p.aQ, p.bQ, h, rng)
 	}
@@ -240,44 +253,36 @@ func (g *traceGen) mulInPlace(cOff, aOff, bOff, d int64) {
 // read T1, read T2, write C); the base case gets a box exactly the size of
 // a base-case product's footprint (3·⌈base²/B⌉ blocks). Running the traced
 // MM-Scan against this profile reproduces the paper's lockstep: every box
-// serves exactly one scan or one base case.
+// serves exactly one scan or one base case. It is the first count boxes of
+// WorstCaseBoxStream.
 func WorstCaseProfile(dim int, blockWords int64) (*profile.SquareProfile, error) {
-	if err := validateTraceArgs(dim, blockWords); err != nil {
+	src, count, _, err := WorstCaseBoxStream(dim, blockWords)
+	if err != nil {
 		return nil, err
 	}
-	var boxes []int64
-	var build func(d int64)
-	build = func(d int64) {
-		if d <= traceBaseDim {
-			boxes = append(boxes, 3*((d*d+blockWords-1)/blockWords))
-			return
-		}
-		for i := 0; i < 8; i++ {
-			build(d / 2)
-		}
-		boxes = append(boxes, 3*d*d/blockWords)
-	}
-	build(int64(dim))
-	return profile.New(boxes)
+	return src.Prefix(int(count)), nil
 }
 
 // WorstCaseBoxStream is the streaming form of WorstCaseProfile: it returns
 // a box source whose first `count` boxes are exactly
 // WorstCaseProfile(dim, blockWords).Boxes(), plus that count and the
 // profile's total duration (Σ box sizes), both computed in closed form. The
-// profile is never materialised — the recursive structure is an 8-ary
-// odometer (a leaf box per base case, one level-j merge-scan box after
-// every 8^j-th leaf) — so dim-4096-class profiles, whose materialised box
-// slice alone would cost gigabytes, stream in O(log dim) memory. Each
-// call returns a fresh source positioned at the first box.
-func WorstCaseBoxStream(dim int, blockWords int64) (src profile.Source, count, duration int64, err error) {
+// recursive structure is an 8-ary odometer (a leaf box per base case, one
+// level-j merge-scan box after every 8^j-th leaf), so dim-4096-class
+// profiles, whose materialised box slice alone would cost gigabytes,
+// stream in O(log dim) memory. Each call returns a fresh source positioned
+// at the first box.
+func WorstCaseBoxStream(dim int, blockWords int64) (src *profile.OdometerSource, count, duration int64, err error) {
 	if err := validateTraceArgs(dim, blockWords); err != nil {
 		return nil, 0, 0, err
 	}
 	leaf := 3 * ((traceBaseDim*traceBaseDim + blockWords - 1) / blockWords)
-	closer := func(level int) int64 {
+	closer := func(level int) (int64, bool) {
+		if level > 27 {
+			return 0, false // d = base·2^level > 2^30: 3·d² overflows int64
+		}
 		d := traceBaseDim << level
-		return 3 * d * d / blockWords
+		return 3 * d * d / blockWords, true
 	}
 	o, err := profile.NewOdometerSource(8, leaf, closer)
 	if err != nil {
@@ -291,27 +296,16 @@ func WorstCaseBoxStream(dim int, blockWords int64) (src profile.Source, count, d
 	return o, count, duration, nil
 }
 
-// RepeatTrace concatenates reps copies of tr. Block IDs are reused
-// verbatim (the same multiplication run again over the same data, so
-// repetitions inside one cache box are nearly free).
-func RepeatTrace(tr *trace.Trace, reps int) (*trace.Trace, error) {
-	return repeatTrace(tr, reps, 0)
-}
-
 // RepeatTraceFresh concatenates reps copies of tr with each repetition's
 // blocks relocated to a fresh address range — back-to-back multiplications
 // of different inputs, which is the reading the "how many multiplies does
 // this profile admit" experiment needs (identical data would be served
 // from cache for free).
 func RepeatTraceFresh(tr *trace.Trace, reps int) (*trace.Trace, error) {
-	return repeatTrace(tr, reps, tr.MaxBlock()+1)
-}
-
-func repeatTrace(tr *trace.Trace, reps int, stride int64) (*trace.Trace, error) {
 	if reps < 1 {
 		return nil, fmt.Errorf("matrix: reps %d < 1", reps)
 	}
 	b := &trace.Builder{}
-	trace.ReplayRepeat(tr, b, reps, stride)
+	trace.ReplayRepeat(tr, b, reps, tr.MaxBlock()+1)
 	return b.Build(), nil
 }

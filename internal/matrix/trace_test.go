@@ -99,17 +99,17 @@ func TestTraceSingleBoxServesMultiply(t *testing.T) {
 
 func TestRepeatTrace(t *testing.T) {
 	tr, _ := TraceMulInPlace(16, 8)
-	r3, err := RepeatTrace(tr, 3)
+	r3, err := RepeatTraceFresh(tr, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r3.Len() != 3*tr.Len() || r3.Leaves() != 3*tr.Leaves() {
 		t.Errorf("repeat wrong: len %d leaves %d", r3.Len(), r3.Leaves())
 	}
-	if r3.DistinctBlocks() != tr.DistinctBlocks() {
-		t.Error("repetition should reuse the same blocks")
+	if r3.DistinctBlocks() != 3*tr.DistinctBlocks() {
+		t.Errorf("fresh repetitions share blocks: %d distinct, want %d", r3.DistinctBlocks(), 3*tr.DistinctBlocks())
 	}
-	if _, err := RepeatTrace(tr, 0); err == nil {
+	if _, err := RepeatTraceFresh(tr, 0); err == nil {
 		t.Error("reps=0 accepted")
 	}
 }
@@ -188,10 +188,19 @@ func TestInPlaceMultipliesGrowLogarithmically(t *testing.T) {
 	}
 }
 
+// traceMulStrassen materialises the Strassen trace through a Builder.
+func traceMulStrassen(dim int, blockWords int64) (*trace.Trace, error) {
+	b := &trace.Builder{}
+	if err := EmitMulStrassen(dim, blockWords, b); err != nil {
+		return nil, err
+	}
+	return b.Build(), nil
+}
+
 func TestTraceStrassenShape(t *testing.T) {
 	const bw = 8
 	for _, dim := range []int{16, 32, 64} {
-		tr, err := TraceMulStrassen(dim, bw)
+		tr, err := traceMulStrassen(dim, bw)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +225,7 @@ func TestTraceStrassenTrendsBelowScan(t *testing.T) {
 	// of trace lengths must strictly decrease as the dimension doubles.
 	const bw = 8
 	ratio := func(dim int) float64 {
-		st, err := TraceMulStrassen(dim, bw)
+		st, err := traceMulStrassen(dim, bw)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +242,7 @@ func TestTraceStrassenTrendsBelowScan(t *testing.T) {
 }
 
 func TestTraceStrassenValidation(t *testing.T) {
-	if _, err := TraceMulStrassen(12, 8); err == nil {
+	if _, err := traceMulStrassen(12, 8); err == nil {
 		t.Error("non-power dim accepted")
 	}
 }

@@ -368,3 +368,12 @@ func TestOPTOptimalityProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TotalLeaves sums leaf completions over box stats.
+func TotalLeaves(stats []BoxStat) int64 {
+	var n int64
+	for _, s := range stats {
+		n += s.Leaves
+	}
+	return n
+}

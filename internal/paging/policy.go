@@ -158,12 +158,3 @@ func PolicyNames() []string {
 	sort.Strings(names)
 	return names
 }
-
-// Policies lists the registered policy descriptors, sorted by name.
-func Policies() []PolicyInfo {
-	infos := make([]PolicyInfo, 0, len(policyRegistry))
-	for _, name := range PolicyNames() {
-		infos = append(infos, policyRegistry[name])
-	}
-	return infos
-}

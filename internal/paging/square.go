@@ -130,15 +130,6 @@ func ServedEmitRepeatParallel(emit func(trace.Sink) error, refsPerRep, maxBlock 
 // pick.
 func DefaultShards() int { return 1 }
 
-// TotalLeaves sums leaf completions over box stats.
-func TotalLeaves(stats []BoxStat) int64 {
-	var n int64
-	for _, s := range stats {
-		n += s.Leaves
-	}
-	return n
-}
-
 // TotalIOs sums I/Os over box stats.
 func TotalIOs(stats []BoxStat) int64 {
 	var n int64

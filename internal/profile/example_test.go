@@ -18,7 +18,7 @@ func ExampleWorstCase() {
 }
 
 // The infinite limit profile streams M_{a,b} box by box.
-func ExampleWorstCaseSource() {
+func ExampleNewWorstCaseSource() {
 	src, err := profile.NewWorstCaseSource(2, 2)
 	if err != nil {
 		panic(err)

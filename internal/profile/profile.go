@@ -14,10 +14,11 @@
 //
 //   - SquareProfile: a finite sequence of boxes with potential accounting;
 //   - Source: possibly-infinite box streams (i.i.d. draws, cyclic repeats,
-//     the infinite worst-case limit profile M_{a,b});
+//     and OdometerSource, the one generator of Figure-1 worst-case
+//     profiles, whose M_{a,b} instance is the infinite limit profile);
 //   - WorstCase: the adversarial profile M_{a,b}(n) from Section 3 /
-//     Figure 1, built recursively as a copies of M_{a,b}(n/b) followed by a
-//     single box of size n;
+//     Figure 1 — a copies of M_{a,b}(n/b) followed by a single box of size
+//     n — materialised as a prefix of the limit stream;
 //   - Squarize: the inner-square reduction from an arbitrary profile m(t) to
 //     a square profile;
 //   - generators for the paper's motivating scenarios (winner-take-all

@@ -60,14 +60,24 @@ func Log(n, base int64) int {
 // repository always indicates an experiment sized beyond the simulator's
 // design range rather than a recoverable condition.
 func Pow(base int64, k int) int64 {
+	r, ok := checkedPow(base, k)
+	if !ok {
+		panic(fmt.Sprintf("profile: %d^%d overflows int64", base, k))
+	}
+	return r
+}
+
+// checkedPow returns base^k (base >= 1), or ok = false if it overflows
+// int64.
+func checkedPow(base int64, k int) (int64, bool) {
 	r := int64(1)
 	for i := 0; i < k; i++ {
 		if r > math.MaxInt64/base {
-			panic(fmt.Sprintf("profile: %d^%d overflows int64", base, k))
+			return 0, false
 		}
 		r *= base
 	}
-	return r
+	return r, true
 }
 
 // WorstCaseBoxCount returns the number of boxes in M_{a,b}(n) without
@@ -107,10 +117,11 @@ func WorstCasePotential(a, b, n int64) (float64, error) {
 	return float64(k+1) * math.Pow(float64(a), float64(k)), nil
 }
 
-// WorstCase materialises M_{a,b}(n). n must be a power of b. The profile has
-// (a^{k+1}-1)/(a-1) boxes for n = b^k; the constructor refuses sizes whose
-// box count exceeds maxBoxes (2^31) to keep accidental OOMs impossible —
-// use WorstCaseSource for streaming access to larger instances.
+// WorstCase materialises M_{a,b}(n), the first WorstCaseBoxCount(a, b, n)
+// boxes of the limit stream. n must be a power of b. The constructor
+// refuses sizes whose box count exceeds maxBoxes (2^31) to keep accidental
+// OOMs impossible — use NewWorstCaseSource for streaming access to larger
+// instances.
 func WorstCase(a, b, n int64) (*SquareProfile, error) {
 	const maxBoxes = int64(1) << 31
 	count, err := WorstCaseBoxCount(a, b, n)
@@ -118,66 +129,13 @@ func WorstCase(a, b, n int64) (*SquareProfile, error) {
 		return nil, err
 	}
 	if count > maxBoxes {
-		return nil, fmt.Errorf("profile: M_{%d,%d}(%d) would have %d boxes; stream it with WorstCaseSource instead", a, b, n, count)
+		return nil, fmt.Errorf("profile: M_{%d,%d}(%d) would have %d boxes; stream it with NewWorstCaseSource instead", a, b, n, count)
 	}
-	boxes := make([]int64, 0, count)
-	boxes = appendWorstCase(boxes, a, b, n)
-	return &SquareProfile{boxes: boxes}, nil
-}
-
-// appendWorstCase appends the boxes of M_{a,b}(n) to dst.
-func appendWorstCase(dst []int64, a, b, n int64) []int64 {
-	if n <= 1 {
-		return append(dst, 1)
-	}
-	for i := int64(0); i < a; i++ {
-		dst = appendWorstCase(dst, a, b, n/b)
-	}
-	return append(dst, n)
-}
-
-// WorstCaseSource streams the infinite limit profile M_{a,b} — the limit of
-// M_{a,b}(n) as n → ∞, which is well defined because M_{a,b}(n) is a prefix
-// of M_{a,b}(n·b).
-//
-// The stream has a simple odometer structure: it emits size-1 leaf boxes,
-// and after the t-th leaf (1-based) it emits one box of size b^j for each
-// j = 1..v_a(t), where v_a(t) is the number of trailing zero digits of t in
-// base a — i.e. a box of size b^j follows every a^j-th leaf, closing the
-// j-th recursion level.
-type WorstCaseSource struct {
-	a, b    int64
-	leaf    int64   // leaves emitted so far
-	pending []int64 // scan boxes owed after the current leaf, in order
-}
-
-// NewWorstCaseSource validates (a,b) and returns the infinite limit-profile
-// stream.
-func NewWorstCaseSource(a, b int64) (*WorstCaseSource, error) {
-	if err := ValidateAB(a, b); err != nil {
+	// a = 1 has no infinite stream, but its finite profile 1, b, ..., n is
+	// the odometer's first k+1 boxes all the same.
+	src, err := newOdometer(a, 1, powCloser(b))
+	if err != nil {
 		return nil, err
 	}
-	if a < 2 {
-		return nil, fmt.Errorf("profile: limit profile needs a >= 2 (a = 1 never closes level boxes)")
-	}
-	return &WorstCaseSource{a: a, b: b}, nil
-}
-
-// Next returns the next box of M_{a,b}.
-func (w *WorstCaseSource) Next() int64 {
-	if len(w.pending) > 0 {
-		box := w.pending[0]
-		w.pending = w.pending[1:]
-		return box
-	}
-	w.leaf++
-	// Queue the level-closing boxes owed after this leaf.
-	t := w.leaf
-	size := w.b
-	for t%w.a == 0 {
-		w.pending = append(w.pending, size)
-		t /= w.a
-		size *= w.b
-	}
-	return 1
+	return src.Prefix(int(count)), nil
 }

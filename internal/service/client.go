@@ -15,6 +15,12 @@ import (
 	"repro/internal/xrand"
 )
 
+// maxResponseBytes bounds every response body the client reads. The
+// largest real body is a job status with every cell's table: one E2 cell at
+// maxk 10 (the largest table) encodes to about 7.5 KB there, so a full
+// 4096-cell job is about 31 MB. The cap leaves twice that.
+const maxResponseBytes = 64 << 20
+
 // Client is the retrying HTTP client for cadaptived, used by the
 // `cadaptive -server=URL` remote mode and the chaos suite. It retries
 // transport errors and 5xx responses with capped exponential backoff and
@@ -242,11 +248,15 @@ func (c *Client) retry(ctx context.Context, do func() (*http.Response, error), o
 			last.LastErr, last.LastStatus, last.LastBody, last.retryAfter = err, 0, "", 0
 			continue // transport errors are always retryable
 		}
-		body, rerr := io.ReadAll(resp.Body)
+		body, rerr := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes+1))
 		resp.Body.Close()
 		if rerr != nil {
 			last.LastErr, last.LastStatus, last.retryAfter = rerr, resp.StatusCode, 0
 			continue
+		}
+		if len(body) > maxResponseBytes {
+			// Deterministic for the request: retrying would read the same.
+			return fmt.Errorf("service client: status %d response body exceeds %d bytes", resp.StatusCode, maxResponseBytes)
 		}
 		switch {
 		case resp.StatusCode >= 200 && resp.StatusCode < 300:

@@ -58,6 +58,28 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
+// decodeBody decodes r's JSON body into v, rejecting unknown fields and
+// reading at most maxRequestBytes. On failure it writes the response
+// itself — 413 for an oversize body, 400 for any other decoding error —
+// and reports false. what names the body in the error text.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, what string) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{
+			Error: fmt.Sprintf("%s exceeds %d bytes", what, tooBig.Limit),
+		})
+		return false
+	}
+	writeJSON(w, http.StatusBadRequest, errorResponse{Error: "invalid " + what + ": " + err.Error()})
+	return false
+}
+
 // writeError maps an error onto a status and a typed body.
 func writeError(w http.ResponseWriter, err error) {
 	resp := errorResponse{Error: err.Error()}
@@ -99,10 +121,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req := runRequest{Config: core.DefaultConfig()}
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "invalid request body: " + err.Error()})
+	if !decodeBody(w, r, &req, "request body") {
 		return
 	}
 	if req.Experiment == "" {
@@ -159,10 +178,7 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 // 202 with the job's initial status — the cells run in the background.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec jobs.Spec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "invalid job spec: " + err.Error()})
+	if !decodeBody(w, r, &spec, "job spec") {
 		return
 	}
 	st, err := s.jobs.Submit(spec)

@@ -157,6 +157,18 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// The bounds on every connection's edges. A real request is a few hundred
+// bytes: an experiment ID and a config, or a job spec listing at most every
+// experiment ID. There is no write timeout, because a /v1/run response
+// waits for its experiment, which can take seconds.
+const (
+	maxRequestBytes   = 1 << 20 // a /v1/run or /v1/jobs body; larger gets 413
+	maxHeaderBytes    = 64 << 10
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second // headers and body together
+	idleTimeout       = 2 * time.Minute  // between keep-alive requests
+)
+
 // Server is the cadaptived HTTP service.
 type Server struct {
 	opts     Options
@@ -239,7 +251,14 @@ func New(opts Options) (*Server, error) {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.handler = s.withRecovery(s.mux)
-	s.http = &http.Server{Addr: opts.Addr, Handler: s.handler}
+	s.http = &http.Server{
+		Addr:              opts.Addr,
+		Handler:           s.handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
 	return s, nil
 }
 

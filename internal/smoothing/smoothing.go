@@ -19,13 +19,9 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// S1 — i.i.d. box sizes (the smoothing that works).
-
-// IIDSource yields boxes drawn i.i.d. from dist using rng — Theorem 1's
-// profile distribution.
-func IIDSource(dist xrand.Dist, rng *xrand.Source) profile.Source {
-	return profile.FuncSource(func() int64 { return dist.Sample(rng) })
-}
+// S1 — i.i.d. box sizes (the smoothing that works). The adaptivity
+// package draws i.i.d. boxes straight from an xrand.Dist (GapSampleExec);
+// Shuffle below is the literal-permutation reading of the same smoothing.
 
 // Shuffle returns a uniformly random permutation of p's boxes — the literal
 // "random shuffle on when significant events occur" reading. Sampling
@@ -33,7 +29,7 @@ func IIDSource(dist xrand.Dist, rng *xrand.Source) profile.Source {
 // xrand.WorstCaseBoxDist) is the scalable equivalent.
 func Shuffle(p *profile.SquareProfile, rng *xrand.Source) *profile.SquareProfile {
 	boxes := p.Boxes()
-	rng.Shuffle(len(boxes), func(i, j int) { boxes[i], boxes[j] = boxes[j], boxes[i] })
+	xrand.Shuffle(rng, boxes)
 	return profile.MustNew(boxes)
 }
 

@@ -53,17 +53,6 @@ func TestShufflePreservesMultiset(t *testing.T) {
 	}
 }
 
-func TestIIDSource(t *testing.T) {
-	dist, _ := xrand.NewUniform(3, 9)
-	src := IIDSource(dist, xrand.New(1))
-	for i := 0; i < 1000; i++ {
-		v := src.Next()
-		if v < 3 || v > 9 {
-			t.Fatalf("sample %d out of range", v)
-		}
-	}
-}
-
 func TestPerturbSizes(t *testing.T) {
 	wc, _ := profile.WorstCase(8, 4, 64)
 	rng := xrand.New(7)

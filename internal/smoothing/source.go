@@ -67,11 +67,7 @@ type ShuffledSource struct {
 func (s *ShuffledSource) Reset(c *CodedProfile, rng *xrand.Source) {
 	s.sizes = c.sizes
 	s.codes = append(s.codes[:0], c.codes...)
-	codes := s.codes
-	for i := len(codes) - 1; i > 0; i-- { // rng.Shuffle's draws, without its call per swap
-		j := rng.Intn(i + 1)
-		codes[i], codes[j] = codes[j], codes[i]
-	}
+	xrand.Shuffle(rng, s.codes)
 	s.pos = 0
 }
 

@@ -1,12 +1,77 @@
 package sorting
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/xrand"
 )
+
+// The numeric twin of the traced recursion: a real two-way merge sort
+// with the same halving and linear merge, checked against the standard
+// library.
+
+// MergeSort returns a sorted copy of xs using top-down two-way merge sort.
+func MergeSort(xs []int64) []int64 {
+	out := make([]int64, len(xs))
+	copy(out, xs)
+	buf := make([]int64, len(xs))
+	mergeSortRec(out, buf)
+	return out
+}
+
+func mergeSortRec(xs, buf []int64) {
+	if len(xs) <= 1 {
+		return
+	}
+	h := len(xs) / 2
+	mergeSortRec(xs[:h], buf[:h])
+	mergeSortRec(xs[h:], buf[h:])
+	// Merge into buf, copy back: the linear scan.
+	i, j, k := 0, h, 0
+	for i < h && j < len(xs) {
+		if xs[i] <= xs[j] {
+			buf[k] = xs[i]
+			i++
+		} else {
+			buf[k] = xs[j]
+			j++
+		}
+		k++
+	}
+	for i < h {
+		buf[k] = xs[i]
+		i++
+		k++
+	}
+	for j < len(xs) {
+		buf[k] = xs[j]
+		j++
+		k++
+	}
+	copy(xs, buf)
+}
+
+// IsSorted reports whether xs is non-decreasing.
+func IsSorted(xs []int64) bool {
+	for i := 1; i < len(xs); i++ {
+		if xs[i] < xs[i-1] {
+			return false
+		}
+	}
+	return true
+}
+
+// RandomSlice returns n values uniform in [0, bound).
+func RandomSlice(n int, bound int64, src *xrand.Source) []int64 {
+	out := make([]int64, n)
+	for i := range out {
+		out[i] = src.Int63n(bound)
+	}
+	return out
+}
 
 func TestMergeSortKnown(t *testing.T) {
 	cases := [][]int64{
@@ -136,5 +201,52 @@ func TestIsSortedEdge(t *testing.T) {
 	}
 	if IsSorted([]int64{2, 1}) {
 		t.Error("descending pair reported sorted")
+	}
+}
+
+// worstCaseProfileRecursive is the textbook Figure-1 recursion for the
+// traced merge sort — two half-size profiles, then the merge's 2·⌈m/B⌉
+// blocks, with ⌈base/B⌉-block leaves — kept as the oracle the odometer
+// must reproduce.
+func worstCaseProfileRecursive(n int, blockWords int64) []int64 {
+	var boxes []int64
+	var build func(m int64)
+	build = func(m int64) {
+		if m <= sortBaseLen {
+			boxes = append(boxes, (m+blockWords-1)/blockWords)
+			return
+		}
+		build(m / 2)
+		build(m / 2)
+		boxes = append(boxes, 2*((m+blockWords-1)/blockWords))
+	}
+	build(int64(n))
+	return boxes
+}
+
+// TestOdometerOracle pins WorstCaseProfile to the recursive builder.
+func TestOdometerOracle(t *testing.T) {
+	for _, bw := range []int64{1, 4, 8, 64} {
+		for n := sortBaseLen; n <= 4096; n *= 2 {
+			want := worstCaseProfileRecursive(n, bw)
+			got, err := WorstCaseProfile(n, bw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got.Boxes(), want) {
+				t.Fatalf("n %d bw %d: WorstCaseProfile differs from the recursive builder", n, bw)
+			}
+		}
+	}
+}
+
+// BenchmarkMergeSort measures the numeric merge sort on 64k values.
+func BenchmarkMergeSort(b *testing.B) {
+	src := xrand.New(8)
+	in := RandomSlice(1<<16, 1<<30, src)
+	b.SetBytes(int64(len(in) * 8))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MergeSort(in)
 	}
 }

@@ -99,24 +99,6 @@ func TestClassifyGrowth(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	g, err := GeoMean([]float64{1, 4, 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(g-4) > 1e-12 {
-		t.Errorf("geomean = %g, want 4", g)
-	}
-	if _, err := GeoMean(nil); err == nil {
-		t.Error("empty accepted")
-	}
-	if _, err := GeoMean([]float64{1, -2}); err == nil {
-		t.Error("negative accepted")
-	}
-}
-
-// Property: Summarize respects Min <= Mean <= Max, and LinearFit on an
-// exact line recovers it.
 func TestFitRecoversLineProperty(t *testing.T) {
 	check := func(aRaw, bRaw int8, nRaw uint8) bool {
 		alpha := float64(aRaw) / 4

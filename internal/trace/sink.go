@@ -2,8 +2,8 @@ package trace
 
 // Sink consumes a block-reference stream as it is generated. It is the
 // streaming half of the trace pipeline: algorithm generators
-// (internal/matrix, internal/dp, internal/fft, internal/gep,
-// internal/sorting, internal/regular) emit into a Sink, and the consumer
+// (internal/matrix, internal/dp, internal/gep, internal/sorting,
+// internal/regular) emit into a Sink, and the consumer
 // decides whether to materialize (Builder), replay online against a cache
 // (internal/paging's streaming kernels), or just count. Streaming keeps
 // memory bounded by the consumer's state — O(distinct blocks) for the

@@ -109,24 +109,22 @@ func (s *Source) Perm(n int) []int {
 	for i := range p {
 		p[i] = i
 	}
-	s.ShuffleInts(p)
+	Shuffle(s, p)
 	return p
 }
 
-// ShuffleInts shuffles p in place (Fisher–Yates).
-func (s *Source) ShuffleInts(p []int) {
+// ShuffleInts shuffles p in place; it is Shuffle(s, p), kept as a method
+// for the perfbench harness, which calls it.
+func (s *Source) ShuffleInts(p []int) { Shuffle(s, p) }
+
+// Shuffle permutes p in place uniformly at random (Fisher–Yates), drawing
+// Intn(i+1) for i = len(p)-1 down to 1. Every shuffle in the module goes
+// through it, so equal seeds give equal permutations whatever the element
+// type.
+func Shuffle[T any](s *Source, p []T) {
 	for i := len(p) - 1; i > 0; i-- {
 		j := s.Intn(i + 1)
 		p[i], p[j] = p[j], p[i]
-	}
-}
-
-// Shuffle shuffles n elements using the provided swap function, exactly like
-// math/rand.Shuffle.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
 	}
 }
 

@@ -1,6 +1,8 @@
 package xrand
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -112,6 +114,57 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestShufflePinned pins Shuffle to the permutations the module has always
+// drawn: for each seed and length, the FNV-64a hash of the permutation of
+// [0, n), and the source's next draw after it (which pins how many values
+// the shuffle consumed). Golden tables depend on both.
+func TestShufflePinned(t *testing.T) {
+	for _, tc := range []struct {
+		seed       uint64
+		n          int
+		hash, next uint64
+	}{
+		{1, 0, 0xcbf29ce484222325, 0x910a2dec89025cc1},
+		{1, 1, 0xa8c7f832281a39c5, 0x910a2dec89025cc1},
+		{1, 2, 0x692558b056101a44, 0xbeeb8da1658eec67},
+		{1, 1000, 0x1e23c4445b2d87ed, 0xe71894b1b5034fb7},
+		{2, 0, 0xcbf29ce484222325, 0x975835de1c9756ce},
+		{2, 1, 0xa8c7f832281a39c5, 0x975835de1c9756ce},
+		{2, 2, 0x392209f14dea4c24, 0xbfc846100bfc1e42},
+		{2, 1000, 0x1ef80234b4495029, 0x509b3463d01d7ad8},
+	} {
+		hashOf := func(p []int) uint64 {
+			h := fnv.New64a()
+			var buf [8]byte
+			for _, v := range p {
+				binary.LittleEndian.PutUint64(buf[:], uint64(v))
+				h.Write(buf[:])
+			}
+			return h.Sum64()
+		}
+		s := New(tc.seed)
+		p := s.Perm(tc.n)
+		if got := hashOf(p); got != tc.hash {
+			t.Errorf("seed %d n %d: Perm hash %#x, want %#x", tc.seed, tc.n, got, tc.hash)
+		}
+		if got := s.Uint64(); got != tc.next {
+			t.Errorf("seed %d n %d: next draw %#x, want %#x", tc.seed, tc.n, got, tc.next)
+		}
+		// Any element type draws the same permutation.
+		s = New(tc.seed)
+		q := make([]uint8, tc.n)
+		for i := range q {
+			q[i] = uint8(i)
+		}
+		Shuffle(s, q)
+		for i := range q {
+			if q[i] != uint8(p[i]) {
+				t.Fatalf("seed %d n %d: Shuffle of []uint8 differs from Perm at %d", tc.seed, tc.n, i)
+			}
+		}
 	}
 }
 

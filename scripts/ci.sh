@@ -62,13 +62,27 @@ go vet ./...
 echo "== cadaptivelint =="
 # Zero findings repo-wide is the gate: the annotation-driven lockguard and
 # hotpath contracts (see DESIGN.md "Concurrency & allocation contracts")
-# fail the build alongside the six structural checks.
+# fail the build alongside the seven structural checks, unusedexport among
+# them.
 go run ./cmd/cadaptivelint ./...
+
+echo "== go vet (perfbench) =="
+# perfbench is its own module, so ./... above never compiles it; a deletion
+# that breaks the benchmark harness must fail here.
+go -C perfbench vet ./...
 
 echo "== hotpath/alloc consistency =="
 # Every //lint:hotpath annotation must be backed by an AllocsPerRun test
 # (//allocguard marker), and no marker may outlive its annotation.
 run_tests 'TestHotpathAllocConsistency' -count=1 ./internal/lint/
+
+echo "== unusedexport + Figure-1 odometer =="
+# The unusedexport analyzer on its harness testdata and on the fixture
+# module (references from another package), and the worst-case odometer
+# against the recursive builders it replaced, with its zero-alloc guard.
+run_tests 'TestUnusedExport|TestUnusedExportModule' -count=1 ./internal/lint/
+run_tests 'TestOdometerOracle|TestOdometerNextZeroAlloc|TestWorstCaseBoxStreamMatchesProfile' -count=1 \
+    ./internal/profile/ ./internal/matrix/ ./internal/sorting/
 
 echo "== go build =="
 go build ./...
